@@ -9,9 +9,10 @@
 // factorized (F-FNO) parameterisation and the bf16/fp16 compressed-weight
 // engines at modes 12 and 20 — each reduced-precision row records its
 // relative L2 against the fp32 engine and the compressed spectral working
-// set next to the timing. The engine's allocation counters and arena gauge
-// ride along so the zero-steady-state contract is visible in the trajectory
-// record.
+// set next to the timing. Per-ISA rows time the GELU row kernel of the MLP
+// epilogues in ns per element. The engine's allocation counters and arena
+// gauge ride along so the zero-steady-state contract is visible in the
+// trajectory record.
 //
 // Flags (besides the shared --threads / --metrics-out):
 //   --out F            JSON output path (default BENCH_inference.json)
@@ -33,6 +34,7 @@
 #include "fno/fno.hpp"
 #include "infer/engine.hpp"
 #include "json_out.hpp"
+#include "nn/activation.hpp"
 #include "obs/obs.hpp"
 #include "util/cli.hpp"
 #include "util/isa.hpp"
@@ -222,6 +224,34 @@ int main(int argc, char** argv) {
     if (isas.size() == 2) {
       isa_speedups.emplace_back("engine_forward_avx2_vs_scalar",
                                 isa_ns[0] / isa_ns[1]);
+    }
+  }
+
+  // 5b. Per-ISA GELU row kernel (nn::gelu_rows, the epilogue of the lift,
+  //     skip and projection tiles): ns per element over one lift tile's
+  //     worth of N(0, 3²) pre-activations, out of place so every call sees
+  //     the same inputs.
+  {
+    std::vector<util::Isa> isas = {util::Isa::kScalar};
+    if (util::cpu_supports_avx2()) isas.push_back(util::Isa::kAvx2);
+    TensorF pre = random_tensor({cfg.lifting_channels, 64}, 14);
+    const index_t n = pre.size();
+    for (index_t i = 0; i < n; ++i) pre[i] *= 3.0f;
+    TensorF act(pre.shape());
+    double gelu_ns[2] = {0.0, 0.0};
+    for (const util::Isa isa : isas) {
+      util::ScopedIsa forced(isa);
+      const double t =
+          time_ns([&] { nn::gelu_rows(pre.data(), act.data(), n); }) /
+          static_cast<double>(n);
+      results.push_back({std::string("infer/gelu_rows_") +
+                             util::isa_name(isa),
+                         t});
+      gelu_ns[static_cast<int>(isa)] = t;
+    }
+    if (isas.size() == 2) {
+      isa_speedups.emplace_back("gelu_rows_avx2_vs_scalar",
+                                gelu_ns[0] / gelu_ns[1]);
     }
   }
 

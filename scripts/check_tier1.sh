@@ -198,7 +198,8 @@ for name in '"serve/round"' '"serve/batch"' '"serve/admission_rejects"' \
             '"serve/batches"' '"serve/queue_depth"' '"isa/active"' \
             '"serve/ensemble_sessions"' '"serve/ensemble_members"' \
             '"serve/ensemble_rounds"' '"serve/ensemble_energy_rel_spread"' \
-            '"isa/gemm_dispatch_scalar"' '"isa/fft_dispatch_scalar"'; do
+            '"isa/gemm_dispatch_scalar"' '"isa/fft_dispatch_scalar"' \
+            '"isa/act_dispatch_scalar"'; do
   grep -q "$name" "$SERVE_METRICS" || {
     echo "check_tier1: metric $name missing from $SERVE_METRICS" >&2
     exit 1

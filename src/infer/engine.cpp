@@ -1,12 +1,12 @@
 #include "infer/engine.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #include "fft/fftnd.hpp"
 #include "fft/plan_cache.hpp"
 #include "fft/real.hpp"
+#include "nn/activation.hpp"
 #include "tensor/gemm.hpp"
 
 namespace turb::infer {
@@ -19,12 +19,6 @@ namespace {
 /// bitwise equality with the training path (panel membership decides which
 /// columns take the register-tiled vs tail code path).
 constexpr index_t kColBlock = 64;
-
-/// Exact GELU, the same expression Gelu::forward evaluates per element.
-inline float gelu(float v) {
-  constexpr float inv_sqrt2 = 0.70710678118654752f;
-  return 0.5f * v * (1.0f + std::erf(v * inv_sqrt2));
-}
 
 /// Allocation-free chunked dispatch: passes the lambda by address through
 /// the pool's raw (fn, ctx) overload — no std::function, no capture copy.
@@ -379,8 +373,9 @@ void InferenceEngine::lift(const float* x, float* h) {
       for (index_t o = 0; o < cl; ++o) {
         float* row = tile + o * bs;
         const float b = bl1[o];
-        for (index_t j = 0; j < bs; ++j) row[j] = gelu(row[j] + b);
+        for (index_t j = 0; j < bs; ++j) row[j] += b;
       }
+      nn::gelu_rows(tile, tile, cl * bs);
       gemm_nn<float>(w, bs, cl, 1.0f, wl2, cl, tile, bs, 0.0f,
                      h + n * w * s + j0, s);
       for (index_t o = 0; o < w; ++o) {
@@ -413,8 +408,9 @@ void InferenceEngine::project(const float* h, float* y) {
       for (index_t o = 0; o < cp; ++o) {
         float* row = tile + o * bs;
         const float b = bp1[o];
-        for (index_t j = 0; j < bs; ++j) row[j] = gelu(row[j] + b);
+        for (index_t j = 0; j < bs; ++j) row[j] += b;
       }
+      nn::gelu_rows(tile, tile, cp * bs);
       gemm_nn<float>(cout, bs, cp, 1.0f, wp2, cp, tile, bs, 0.0f,
                      y + n * cout * s + j0, s);
       for (index_t o = 0; o < cout; ++o) {
@@ -758,7 +754,8 @@ void InferenceEngine::spectral_layer(index_t l, const float* h_in,
 
   // Fused skip path: 1×1 skip GEMM into the tile, then per element the
   // training rounding chain — skip = fl(gemm + bias); v = fl(spat + skip);
-  // GELU except on the last block — written in place over the irfft output.
+  // GELU (nn::gelu_rows) except on the last block — written back over the
+  // irfft output.
   // (A beta=1 GEMM accumulating into h_out would round as
   // fl(fl(spat + Σ) + bias) instead — a different sequence; forbidden.)
   // A per-spatial-row irfft+skip fusion (one pass over h_out) was measured
@@ -777,17 +774,28 @@ void InferenceEngine::spectral_layer(index_t l, const float* h_in,
       const index_t bs = std::min(kColBlock, s - j0);
       gemm_nn<float>(w, bs, w, 1.0f, wsk, w, h_in + n * w * s + j0, s, 0.0f,
                      tile, bs);
-      for (index_t o = 0; o < w; ++o) {
-        const float* srow = tile + o * bs;
-        float* drow = h_out + n * w * s + o * s + j0;
-        const float b = bsk[o];
-        if (last_layer) {
+      float* dst = h_out + n * w * s + j0;
+      if (last_layer) {
+        for (index_t o = 0; o < w; ++o) {
+          const float* srow = tile + o * bs;
+          float* drow = dst + o * s;
+          const float b = bsk[o];
           for (index_t j = 0; j < bs; ++j) drow[j] += srow[j] + b;
-        } else {
-          for (index_t j = 0; j < bs; ++j) {
-            drow[j] = gelu(drow[j] + (srow[j] + b));
-          }
         }
+        continue;
+      }
+      // Pre-activations gathered into the contiguous tile, GELU over the
+      // whole tile in one kernel call, rows scattered back to h_out.
+      for (index_t o = 0; o < w; ++o) {
+        float* srow = tile + o * bs;
+        const float* drow = dst + o * s;
+        const float b = bsk[o];
+        for (index_t j = 0; j < bs; ++j) srow[j] = drow[j] + (srow[j] + b);
+      }
+      nn::gelu_rows(tile, tile, w * bs);
+      for (index_t o = 0; o < w; ++o) {
+        std::memcpy(dst + o * s, tile + o * bs,
+                    static_cast<std::size_t>(bs) * sizeof(float));
       }
     }
   });

@@ -84,4 +84,10 @@ obs::Counter& fft_dispatch_counter(Isa isa) {
   return isa == Isa::kAvx2 ? avx2 : scalar;
 }
 
+obs::Counter& act_dispatch_counter(Isa isa) {
+  static obs::Counter& scalar = obs::counter("isa/act_dispatch_scalar");
+  static obs::Counter& avx2 = obs::counter("isa/act_dispatch_avx2");
+  return isa == Isa::kAvx2 ? avx2 : scalar;
+}
+
 }  // namespace turb::util

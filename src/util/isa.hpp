@@ -2,7 +2,8 @@
 //
 // The library ships two implementations of every hot kernel family (the GEMM
 // register panels in tensor/gemm.hpp, the radix-2 c2c butterflies in
-// fft/plan.hpp, and the rfft/irfft unpack in fft/real.hpp):
+// fft/plan.hpp, the rfft/irfft unpack in fft/real.hpp, and the GELU rows in
+// nn/activation.cpp):
 //
 //   * scalar — the portable C++ kernels, unchanged from before this layer
 //     existed. Always available, and the reference the determinism fixture
@@ -30,8 +31,9 @@
 //
 // Observability: the resolved choice is exported as the `isa/active` gauge
 // (0 = scalar, 1 = avx2) and every dispatch site bumps a per-family counter
-// (`isa/gemm_dispatch_{scalar,avx2}`, `isa/fft_dispatch_{scalar,avx2}`) so
-// bench/metrics JSON rows are attributable to the kernels that produced them.
+// (`isa/gemm_dispatch_{scalar,avx2}`, `isa/fft_dispatch_{scalar,avx2}`,
+// `isa/act_dispatch_{scalar,avx2}`) so bench/metrics JSON rows are
+// attributable to the kernels that produced them.
 #pragma once
 
 #include <atomic>
@@ -94,5 +96,6 @@ class ScopedIsa {
 /// Per-family dispatch counters (cached references; see file header).
 [[nodiscard]] obs::Counter& gemm_dispatch_counter(Isa isa);
 [[nodiscard]] obs::Counter& fft_dispatch_counter(Isa isa);
+[[nodiscard]] obs::Counter& act_dispatch_counter(Isa isa);
 
 }  // namespace turb::util

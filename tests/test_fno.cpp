@@ -110,6 +110,11 @@ struct TableRow {
   index_t expected;
 };
 
+// Name each case by its label. Without this gtest prints the raw bytes of the
+// row, label pointer included, so the test names would change with the load
+// address of every build.
+void PrintTo(const TableRow& row, std::ostream* os) { *os << row.label; }
+
 class TableIParams : public ::testing::TestWithParam<TableRow> {};
 
 TEST_P(TableIParams, ClosedFormMatchesPaper) {

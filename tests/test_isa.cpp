@@ -4,20 +4,24 @@
 //   * Tier B (bounded, cross-ISA): for every vectorized kernel family —
 //     gemm_nn/gemm_tn/gemm_nt, the radix-2 c2c butterflies (incl. the
 //     Bluestein fallback, which reaches them through its power-of-two
-//     sub-plan), and the rfft/irfft unpack — the scalar and AVX2 results
-//     agree within a small multiple of the rounding error of the
+//     sub-plan), the rfft/irfft unpack, and the GELU rows (nn::gelu_rows,
+//     bounded by 4·eps·max(1, |x|) per element) — the scalar and AVX2
+//     results agree within a small multiple of the rounding error of the
 //     accumulation depth. The property suites run odd/edge-tail shapes so
 //     every vector-width remainder path (32/16/8/4-wide groups and scalar
 //     tails) is exercised.
 //   * Tier A (bitwise, per ISA): with the ISA pinned by ScopedIsa, kernel
-//     results are bitwise identical across pool widths 1/2/4, and masked
+//     results are bitwise identical across pool widths 1/2/4, masked
 //     (mode-pruned) rfft transforms are bitwise identical to unmasked ones
-//     on the kept bins.
+//     on the kept bins, gelu_rows gives every element the same bits at any
+//     row length and start offset, and the inference engine's 2-D forward is
+//     bitwise equal to the training forward.
 //
 // Every avx2-side test skips (GTEST_SKIP) when the CPU lacks AVX2+FMA, so
 // the suite is green on any host under both forced TURBFNO_ISA settings.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstdint>
@@ -28,6 +32,9 @@
 #include "fft/plan.hpp"
 #include "fft/fftnd.hpp"
 #include "fft/real.hpp"
+#include "fno/fno.hpp"
+#include "infer/engine.hpp"
+#include "nn/activation.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/tensor.hpp"
 #include "util/isa.hpp"
@@ -89,6 +96,18 @@ TEST(IsaLayer, DispatchCountersAdvance) {
   std::vector<float> a(4, 1.0f), b(4, 2.0f), c(4, 0.0f);
   gemm_nn<float>(2, 2, 2, 1.0f, a.data(), 2, b.data(), 2, 0.0f, c.data(), 2);
   EXPECT_GT(util::gemm_dispatch_counter(util::Isa::kScalar).value(), gemm0);
+
+  const double act0 = util::act_dispatch_counter(util::Isa::kScalar).value();
+  nn::gelu_rows(a.data(), c.data(), 4);
+  EXPECT_EQ(util::act_dispatch_counter(util::Isa::kScalar).value(), act0 + 1);
+  if (avx2_available()) {
+    util::ScopedIsa avx2(util::Isa::kAvx2);
+    const double act_avx2 =
+        util::act_dispatch_counter(util::Isa::kAvx2).value();
+    nn::gelu_cdf_rows(a.data(), c.data(), 4);
+    EXPECT_EQ(util::act_dispatch_counter(util::Isa::kAvx2).value(),
+              act_avx2 + 1);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -382,6 +401,107 @@ TEST(IsaTierA, MaskedRfftBitwiseAvx2) {
 }
 
 // ---------------------------------------------------------------------------
+// Tier B: GELU scalar (std::erf) vs AVX2 (rational erf)
+// ---------------------------------------------------------------------------
+
+/// Dense grid on [-20, 20] (steps of 2^-10, so every saturation and
+/// transition region is sampled) plus the special inputs: ±0, subnormals,
+/// both sides of the erf clamp at |x| = 4√2, the float extremes, ±inf, NaN.
+std::vector<float> gelu_sweep_inputs() {
+  std::vector<float> xs;
+  for (int i = -20 * 1024; i <= 20 * 1024; ++i) {
+    xs.push_back(static_cast<float>(i) / 1024.0f);
+  }
+  const float kInf = std::numeric_limits<float>::infinity();
+  const float kDenorm = std::numeric_limits<float>::denorm_min();
+  const float kMin = std::numeric_limits<float>::min();
+  const float kMax = std::numeric_limits<float>::max();
+  const float k4Sqrt2 = 4.0f * std::sqrt(2.0f);
+  for (const float v :
+       {0.0f, kDenorm, 1e-40f, kMin / 2.0f, kMin, 1e-20f, 1e-7f,
+        std::nextafter(k4Sqrt2, 0.0f), k4Sqrt2,
+        std::nextafter(k4Sqrt2, kInf), 6.0f, 30.0f, 1e10f, kMax, kInf}) {
+    xs.push_back(v);
+    xs.push_back(-v);
+  }
+  xs.push_back(std::numeric_limits<float>::quiet_NaN());
+  xs.push_back(-std::numeric_limits<float>::quiet_NaN());
+  return xs;
+}
+
+/// Run one of the act-family kernels over `xs` under a forced ISA.
+std::vector<float> run_act(util::Isa isa, const std::vector<float>& xs,
+                           void (*kernel)(const float*, float*, index_t)) {
+  util::ScopedIsa forced(isa);
+  std::vector<float> out(xs.size());
+  kernel(xs.data(), out.data(), static_cast<index_t>(xs.size()));
+  return out;
+}
+
+/// Scalar vs avx2 over the sweep: the same non-finite class on every input
+/// (NaN stays NaN, gelu(-inf) is NaN as with std::erf, gelu(+inf) = +inf),
+/// and |Δ| ≤ 4·eps·max(1, |x|) on every finite result — or 4·eps flat for
+/// Φ, which erf reaches without the x factor. The bound covers a few ulp of
+/// erf scaled by GELU's 0.5·x factor; the measured maxima on this sweep are
+/// 1.88 (gelu_rows) and 1.00 (gelu_cdf_rows).
+void expect_act_tier_b(void (*kernel)(const float*, float*, index_t),
+                       bool scale_by_x, const char* what) {
+  const std::vector<float> xs = gelu_sweep_inputs();
+  const std::vector<float> ref = run_act(util::Isa::kScalar, xs, kernel);
+  const std::vector<float> alt = run_act(util::Isa::kAvx2, xs, kernel);
+  constexpr double eps = std::numeric_limits<float>::epsilon();
+  double worst = 0.0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const float x = xs[i];
+    ASSERT_EQ(std::isnan(ref[i]), std::isnan(alt[i]))
+        << what << " x=" << x << " scalar=" << ref[i] << " avx2=" << alt[i];
+    ASSERT_EQ(std::isinf(ref[i]), std::isinf(alt[i]))
+        << what << " x=" << x << " scalar=" << ref[i] << " avx2=" << alt[i];
+    if (!std::isfinite(ref[i])) {
+      if (std::isinf(ref[i])) {
+        EXPECT_EQ(ref[i], alt[i]) << what << " x=" << x;
+      }
+      continue;
+    }
+    const double scale =
+        scale_by_x ? eps * std::max(1.0, std::abs(static_cast<double>(x)))
+                   : eps;
+    const double rel =
+        std::abs(static_cast<double>(ref[i]) - static_cast<double>(alt[i])) /
+        scale;
+    worst = std::max(worst, rel);
+    EXPECT_LE(rel, 4.0) << what << " x=" << x << " scalar=" << ref[i]
+                        << " avx2=" << alt[i];
+  }
+  ::testing::Test::RecordProperty("worst_delta_over_eps_scale",
+                                  std::to_string(worst));
+}
+
+TEST(GeluIsaEquivalence, GeluRowsWithinTierB) {
+  SKIP_WITHOUT_AVX2();
+  expect_act_tier_b(nn::gelu_rows, /*scale_by_x=*/true, "gelu_rows");
+}
+
+TEST(GeluIsaEquivalence, GeluCdfRowsWithinTierB) {
+  SKIP_WITHOUT_AVX2();
+  expect_act_tier_b(nn::gelu_cdf_rows, /*scale_by_x=*/false,
+                    "gelu_cdf_rows");
+}
+
+TEST(GeluIsaEquivalence, NonFiniteClassMatchesStdErf) {
+  SKIP_WITHOUT_AVX2();
+  const float kInf = std::numeric_limits<float>::infinity();
+  const std::vector<float> xs = {kInf, -kInf,
+                                 std::numeric_limits<float>::quiet_NaN()};
+  for (const util::Isa isa : {util::Isa::kScalar, util::Isa::kAvx2}) {
+    const std::vector<float> y = run_act(isa, xs, nn::gelu_rows);
+    EXPECT_EQ(y[0], kInf) << util::isa_name(isa);
+    EXPECT_TRUE(std::isnan(y[1])) << util::isa_name(isa) << " gelu(-inf)";
+    EXPECT_TRUE(std::isnan(y[2])) << util::isa_name(isa) << " gelu(NaN)";
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Tier A: bitwise identity across pool widths 1/2/4, per forced ISA
 // ---------------------------------------------------------------------------
 
@@ -439,6 +559,91 @@ TEST(IsaTierA, GemmBitwiseAcrossThreadsScalar) {
 TEST(IsaTierA, GemmBitwiseAcrossThreadsAvx2) {
   SKIP_WITHOUT_AVX2();
   check_gemm_thread_invariance(util::Isa::kAvx2);
+}
+
+/// gelu_rows over every row length 1–19 at every start offset of a buffer,
+/// out of place and in place, is bitwise equal to one call per element: the
+/// ragged-tail lanes run the same body as full vectors, so the bits never
+/// depend on where a row starts or ends (training chunks rows by the pool
+/// partition, the engine by column tiles).
+void check_gelu_rows_position_invariance(util::Isa isa) {
+  util::ScopedIsa forced(isa);
+  constexpr index_t kLen = 48;
+  Rng rng(29);
+  std::vector<float> x(static_cast<std::size_t>(kLen));
+  for (auto& v : x) v = static_cast<float>(4.0 * rng.normal());
+  std::vector<float> ref(x.size());
+  for (index_t i = 0; i < kLen; ++i) nn::gelu_rows(&x[i], &ref[i], 1);
+  for (index_t n = 1; n <= 19; ++n) {
+    for (index_t off = 0; off + n <= kLen; ++off) {
+      std::vector<float> out(x.size(), -7.0f);
+      nn::gelu_rows(x.data() + off, out.data() + off, n);
+      std::vector<float> inplace = x;
+      nn::gelu_rows(inplace.data() + off, inplace.data() + off, n);
+      for (index_t i = 0; i < kLen; ++i) {
+        const bool inside = i >= off && i < off + n;
+        const float want_out = inside ? ref[i] : -7.0f;
+        const float want_inplace = inside ? ref[i] : x[i];
+        ASSERT_EQ(0, std::memcmp(&want_out, &out[i], sizeof(float)))
+            << util::isa_name(isa) << " n=" << n << " off=" << off
+            << " i=" << i;
+        ASSERT_EQ(0, std::memcmp(&want_inplace, &inplace[i], sizeof(float)))
+            << util::isa_name(isa) << " in place n=" << n << " off=" << off
+            << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST(IsaTierA, GeluRowsPositionInvariantScalar) {
+  check_gelu_rows_position_invariance(util::Isa::kScalar);
+}
+
+TEST(IsaTierA, GeluRowsPositionInvariantAvx2) {
+  SKIP_WITHOUT_AVX2();
+  check_gelu_rows_position_invariance(util::Isa::kAvx2);
+}
+
+/// The inference engine's 2-D dense forward (fused lift / skip / projection
+/// GELU epilogues over column tiles) is bitwise equal to the training
+/// forward (Gelu layers over pool chunks) under the forced ISA. The
+/// 10×14 grid makes the tile widths ragged (140 = 2·64 + 12).
+void check_engine_forward_bitwise(util::Isa isa) {
+  util::ScopedIsa forced(isa);
+  fno::FnoConfig cfg;
+  cfg.in_channels = 3;
+  cfg.out_channels = 2;
+  cfg.width = 8;
+  cfg.n_layers = 3;
+  cfg.n_modes = {4, 4};
+  cfg.lifting_channels = 16;
+  cfg.projection_channels = 16;
+  for (const Shape& shape : {Shape{2, 3, 16, 16}, Shape{2, 3, 10, 14}}) {
+    Rng rng(31);
+    fno::Fno model(cfg, rng);
+    Tensor<float> x(shape);
+    x.fill_normal(rng, 0.0, 1.0);
+    const Tensor<float> ref = model.forward(x);
+    infer::InferenceEngine engine(model);
+    engine.plan(shape);
+    Tensor<float> y;
+    engine.forward(x, y);
+    ASSERT_EQ(ref.shape(), y.shape());
+    EXPECT_EQ(0, std::memcmp(ref.data(), y.data(),
+                             static_cast<std::size_t>(ref.size()) *
+                                 sizeof(float)))
+        << util::isa_name(isa) << " engine forward differs from training on "
+        << shape[2] << "x" << shape[3];
+  }
+}
+
+TEST(IsaTierA, EngineForward2dBitwiseScalar) {
+  check_engine_forward_bitwise(util::Isa::kScalar);
+}
+
+TEST(IsaTierA, EngineForward2dBitwiseAvx2) {
+  SKIP_WITHOUT_AVX2();
+  check_engine_forward_bitwise(util::Isa::kAvx2);
 }
 
 TEST(IsaTierA, RfftnBitwiseAcrossThreadsScalar) {
