@@ -10,7 +10,10 @@
 // engines at modes 12 and 20 — each reduced-precision row records its
 // relative L2 against the fp32 engine and the compressed spectral working
 // set next to the timing. Per-ISA rows time the GELU row kernel of the MLP
-// epilogues in ns per element. The engine's allocation counters and arena
+// epilogues in ns per element. Two physics-side rows time one spectral NS
+// step at 64² and the snapshot diagnostics per snapshot of a 32² window —
+// the PDE and diagnostics halves of a hybrid rollout. The engine's
+// allocation counters and arena
 // gauge ride along so the zero-steady-state contract is visible in the
 // trajectory record.
 //
@@ -30,11 +33,14 @@
 #include <utility>
 #include <vector>
 
+#include "core/metrics.hpp"
 #include "fft/plan.hpp"
 #include "fno/fno.hpp"
 #include "infer/engine.hpp"
 #include "json_out.hpp"
+#include "lbm/initializer.hpp"
 #include "nn/activation.hpp"
+#include "ns/solver.hpp"
 #include "obs/obs.hpp"
 #include "util/cli.hpp"
 #include "util/isa.hpp"
@@ -253,6 +259,34 @@ int main(int argc, char** argv) {
       isa_speedups.emplace_back("gelu_rows_avx2_vs_scalar",
                                 gelu_ns[0] / gelu_ns[1]);
     }
+  }
+
+  // 5c. Physics-side rows at the hybrid scheme's shapes: one planned RK4
+  //     step of the 64² spectral NS solver (dealiased, allocation-free in
+  //     steady state), and the one-pass snapshot diagnostics over a
+  //     16-snapshot window of 32² fields, in ns per snapshot.
+  {
+    ns::NsConfig ncfg;
+    ncfg.n = grid;
+    ncfg.viscosity = 1e-3;
+    ncfg.dt = 2e-4;
+    ns::SpectralNsSolver solver(ncfg);
+    Rng vrng(15);
+    const auto vel = lbm::random_vortex_velocity(grid, grid, 4.0, 1.0, vrng);
+    solver.set_velocity(vel.u1, vel.u2);
+    results.push_back(
+        {"ns/spectral_step_n64", time_ns([&] { solver.step(1); })});
+
+    constexpr index_t kWindow = 16;
+    std::vector<core::FieldSnapshot> window;
+    for (index_t i = 0; i < kWindow; ++i) {
+      const auto f = lbm::random_vortex_velocity(32, 32, 4.0, 1.0, vrng);
+      window.push_back({0.01 * static_cast<double>(i), f.u1, f.u2});
+    }
+    std::vector<core::SnapshotMetrics> metrics;
+    results.push_back({"core/compute_metrics_window_n32",
+                       time_ns([&] { core::compute_metrics(window, metrics); }) /
+                           static_cast<double>(kWindow)});
   }
 
   // 6. Parameterisation × precision variants: the factorized (F-FNO) layer

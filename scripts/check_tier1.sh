@@ -22,6 +22,8 @@
 #     batched line-FFT path engaged (fft/batched_lines > 0).
 #  4. An inference-engine smoke: bench_perf_infer at a tiny budget with
 #     --metrics-out, asserting the nn/infer_* spans are exported, the
+#     physics-side rows (ns/spectral_step_n64, core/compute_metrics_window_n32)
+#     are present, the
 #     zero-steady-state-allocation contract holds
 #     (infer/steady_state_allocs == 0), the engine drove the batched FFT
 #     path (fft/batched_lines > 0), the plan-cache memo stayed hit-only
@@ -173,7 +175,8 @@ import json, sys
 d = json.load(open(sys.argv[1]))
 assert d["version"] == 1, "unexpected BENCH_inference schema version"
 for key in ("infer/train_forward_n64", "infer/engine_forward_n64",
-            "infer/rollout_step_n64", "infer/batched_rollout_step_n64"):
+            "infer/rollout_step_n64", "infer/batched_rollout_step_n64",
+            "ns/spectral_step_n64", "core/compute_metrics_window_n32"):
     assert key in d["results_ns_per_op"], f"{key} timing missing"
 assert "engine_forward_vs_train" in d["speedup"], "speedup missing"
 assert d["counters"]["infer/steady_state_allocs"] == 0, \

@@ -9,12 +9,21 @@
 
 namespace turb::core {
 
+/// Global diagnostics of one snapshot, derived from one r2c transform of
+/// (u₁, u₂). Derivatives use ns::deriv_freq wavenumbers (Nyquist modes
+/// derivative-free, as in ns::derivative_x/y). Any NaN or inf in u₁/u₂
+/// makes kinetic_energy, enstrophy and divergence_l2 non-finite, which is
+/// what the rollout guard's non_finite check reads.
 struct SnapshotMetrics {
   double t = 0.0;
-  double kinetic_energy = 0.0;   ///< (1/2)⟨|u|²⟩
-  double enstrophy = 0.0;        ///< ⟨ω²⟩
-  double divergence_linf = 0.0;  ///< max |∇·u|
-  double divergence_l2 = 0.0;    ///< √⟨(∇·u)²⟩
+  /// (1/2)⟨|u|²⟩, summed in physical space (analysis::kinetic_energy).
+  double kinetic_energy = 0.0;
+  /// ⟨ω²⟩ with ω̂ = i(k_x û₂ − k_y û₁), by Parseval over the half spectrum.
+  double enstrophy = 0.0;
+  /// max |∇·u| over the grid, from one inverse transform of i k·û.
+  double divergence_linf = 0.0;
+  /// √⟨(∇·u)²⟩ with (∇·u)^ = i k·û, by Parseval over the half spectrum.
+  double divergence_l2 = 0.0;
 };
 
 /// Per-snapshot uncertainty diagnostics of a K-member ensemble rollout — the
@@ -35,9 +44,17 @@ struct EnsembleSnapshotSpread {
 /// Diagnostics for one snapshot.
 SnapshotMetrics compute_metrics(const FieldSnapshot& snapshot);
 
-/// Diagnostics for a whole trajectory.
+/// Diagnostics for a window or a whole trajectory. Consecutive snapshots
+/// of one grid shape share batched transforms (up to 16 per batch); every
+/// entry is bitwise equal to the single-snapshot call on it.
 std::vector<SnapshotMetrics> compute_metrics(
     const std::vector<FieldSnapshot>& trajectory);
+
+/// As above, into a caller-held vector. Scratch is per-thread transform
+/// workspace that only grows, so once `out` and the scratch have seen the
+/// largest window the call performs no heap allocation.
+void compute_metrics(const std::vector<FieldSnapshot>& window,
+                     std::vector<SnapshotMetrics>& out);
 
 /// Percentage error |a − b|/|b| · 100 between a quantity of two trajectories
 /// (paper Fig. 9 reports K.E. and enstrophy errors this way).

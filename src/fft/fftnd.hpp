@@ -56,23 +56,23 @@ namespace detail {
 
 /// Flatten the per-axis masks of trailing axes [first, ndim) into keep
 /// flags over their row-major product — the `inner` block of a c2c line
-/// dispatch along a more-outer axis. Returns an empty vector when those
-/// axes prune nothing.
-inline std::vector<std::uint8_t> inner_keep_flags(const ModeMask& mask,
-                                                  std::size_t first,
-                                                  const Shape& spec_shape,
-                                                  std::size_t ndim) {
+/// dispatch along a more-outer axis — written into `keep`. Returns nullptr
+/// when those axes prune nothing, else `&keep`. `keep` is caller-held so a
+/// reused buffer makes the call allocation-free once it has grown.
+inline const std::vector<std::uint8_t>* inner_keep_flags(
+    const ModeMask& mask, std::size_t first, const Shape& spec_shape,
+    std::size_t ndim, std::vector<std::uint8_t>& keep) {
   const std::size_t rank = spec_shape.size();
   bool any = false;
   for (std::size_t j = first; j < ndim; ++j) {
     if (!mask[j].empty()) any = true;
   }
-  if (!any) return {};
+  if (!any) return nullptr;
   index_t inner = 1;
   for (std::size_t j = first; j < ndim; ++j) {
     inner *= spec_shape[rank - ndim + j];
   }
-  std::vector<std::uint8_t> keep(static_cast<std::size_t>(inner), 1);
+  keep.assign(static_cast<std::size_t>(inner), 1);
   for (index_t i = 0; i < inner; ++i) {
     index_t rem = i;
     for (std::size_t j = ndim; j-- > first;) {
@@ -85,7 +85,23 @@ inline std::vector<std::uint8_t> inner_keep_flags(const ModeMask& mask,
       }
     }
   }
-  return keep;
+  return &keep;
+}
+
+/// Size `out` to `like` with its last extent replaced by `last`. The shapes
+/// are compared in place, so an output already of that shape costs no
+/// allocation.
+template <typename T>
+void size_output(Tensor<T>& out, const Shape& like, index_t last) {
+  const Shape& have = out.shape();
+  if (have.size() == like.size() &&
+      std::equal(like.begin(), like.end() - 1, have.begin()) &&
+      have.back() == last) {
+    return;
+  }
+  Shape shape = like;
+  shape.back() = last;
+  out = Tensor<T>(std::move(shape));
 }
 
 inline void validate_mask(const ModeMask* mask, const Shape& spec_shape,
@@ -259,12 +275,11 @@ void rfftn_into(const Tensor<T>& x, int ndim, Tensor<std::complex<T>>& out,
   const Shape& in_shape = x.shape();
   const std::size_t rank = in_shape.size();
   const index_t n_last = in_shape[rank - 1];
-  Shape out_shape = in_shape;
-  out_shape[rank - 1] = n_last / 2 + 1;
+  detail::size_output(out, in_shape, n_last / 2 + 1);
+  const Shape& out_shape = out.shape();
   detail::validate_mask(mask, out_shape, ndim);
 
-  if (out.shape() != out_shape) out = Tensor<cpx>(out_shape);
-  const index_t rows = numel(in_shape) / n_last;
+  const index_t rows = x.size() / n_last;
   static obs::Counter& lines = obs::counter("fft/r2c_lines");
   static obs::Counter& lines_total = obs::counter("fft/lines_total");
   lines.add(rows);
@@ -314,15 +329,15 @@ void rfftn_into(const Tensor<T>& x, int ndim, Tensor<std::complex<T>>& out,
   // Remaining (complex) transform axes, innermost-first order is arbitrary.
   // Stage d transforms trailing axis j = ndim-1-d; the axes after j are
   // already in spectral coordinates, so their masks prune whole lines.
+  thread_local std::vector<std::uint8_t> keep;
   for (int d = 1; d < ndim; ++d) {
     const std::size_t axis = rank - 1 - static_cast<std::size_t>(d);
-    std::vector<std::uint8_t> keep;
-    if (mask != nullptr) {
-      keep = detail::inner_keep_flags(
-          *mask, static_cast<std::size_t>(ndim - d), out_shape,
-          static_cast<std::size_t>(ndim));
-    }
-    c2c_axis(out, axis, /*forward=*/true, keep.empty() ? nullptr : &keep);
+    const std::vector<std::uint8_t>* flags =
+        mask == nullptr ? nullptr
+                        : detail::inner_keep_flags(
+                              *mask, static_cast<std::size_t>(ndim - d),
+                              out_shape, static_cast<std::size_t>(ndim), keep);
+    c2c_axis(out, axis, /*forward=*/true, flags);
   }
 }
 
@@ -363,24 +378,23 @@ void irfftn_into(const Tensor<std::complex<T>>& x, int ndim, index_t n_last,
     // Outermost trailing axis first; the axes after stage j's axis are still
     // untransformed spectral coordinates, so their masks prune whole lines
     // (which are exactly zero by the caller contract).
+    thread_local std::vector<std::uint8_t> keep;
     for (int d = ndim - 1; d >= 1; --d) {
       const std::size_t axis = rank - 1 - static_cast<std::size_t>(d);
-      std::vector<std::uint8_t> keep;
-      if (mask != nullptr) {
-        keep = detail::inner_keep_flags(
-            *mask, static_cast<std::size_t>(ndim - d), x.shape(),
-            static_cast<std::size_t>(ndim));
-      }
-      c2c_axis(work, axis, /*forward=*/false, keep.empty() ? nullptr : &keep);
+      const std::vector<std::uint8_t>* flags =
+          mask == nullptr ? nullptr
+                          : detail::inner_keep_flags(
+                                *mask, static_cast<std::size_t>(ndim - d),
+                                x.shape(), static_cast<std::size_t>(ndim),
+                                keep);
+      c2c_axis(work, axis, /*forward=*/false, flags);
     }
     spec = work.data();
   }
 
-  Shape out_shape = x.shape();
-  out_shape[rank - 1] = n_last;
-  if (out.shape() != out_shape) out = Tensor<T>(out_shape);
+  detail::size_output(out, x.shape(), n_last);
   const index_t in_row = x.shape()[rank - 1];
-  const index_t rows = numel(out_shape) / n_last;
+  const index_t rows = out.size() / n_last;
   static obs::Counter& lines = obs::counter("fft/c2r_lines");
   static obs::Counter& lines_total = obs::counter("fft/lines_total");
   lines.add(rows);

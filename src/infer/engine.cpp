@@ -255,7 +255,7 @@ void InferenceEngine::plan(const Shape& in_shape) {
     for (std::size_t d = 0; d < a; ++d) st.outer *= spec_full[2 + d];
     st.inner = 1;
     for (std::size_t d = a + 1; d < rank; ++d) st.inner *= spec_full[2 + d];
-    st.keep = fft::detail::inner_keep_flags(mask, a + 1, spec_full, rank);
+    fft::detail::inner_keep_flags(mask, a + 1, spec_full, rank, st.keep);
     st.kept_inner = 0;
     for (const std::uint8_t f : st.keep) st.kept_inner += (f != 0);
     line_len_ = std::max(line_len_, st.n);

@@ -36,43 +36,100 @@ double NsSolver::suggest_dt(double u_max, double cfl) const {
 // --- spectral ----------------------------------------------------------------
 
 SpectralNsSolver::SpectralNsSolver(NsConfig config)
-    : NsSolver(config), what_({config.n, config.n / 2 + 1}) {}
+    : NsSolver(config),
+      what_({config.n, config.n / 2 + 1}),
+      grad_spec_({4, config.n, config.n / 2 + 1}),
+      grad_phys_({4, config.n, config.n}),
+      adv_({config.n, config.n}),
+      k1_(what_.shape()),
+      k2_(what_.shape()),
+      k3_(what_.shape()),
+      k4_(what_.shape()),
+      stage_(what_.shape()) {
+  const index_t n = config_.n;
+  const index_t nxr = n / 2 + 1;
+  const double kcut = static_cast<double>(n) / 3.0;
+  if (config_.dealias && config_.forcing_amplitude != 0.0) {
+    TURB_CHECK_MSG(3 * config_.forcing_k <= n,
+                   "forcing_k " << config_.forcing_k
+                                << " exceeds n/3; the 2/3 rule would zero "
+                                   "the forcing mode at n = "
+                                << n);
+  }
+  for (index_t iy = 0; iy < n; ++iy) {
+    ky_deriv_.push_back(kTwoPi * deriv_freq(iy, n));
+    ky_.push_back(kTwoPi * fft_freq(iy, n));
+    if (config_.dealias) {
+      row_keep_.push_back(std::abs(fft_freq(iy, n)) > kcut ? 0 : 1);
+    }
+  }
+  std::vector<std::uint8_t> col_keep;
+  for (index_t ix = 0; ix < nxr; ++ix) {
+    kx_deriv_.push_back(kTwoPi * deriv_freq(ix, n));
+    kx_.push_back(kTwoPi * static_cast<double>(ix));
+    if (config_.dealias) {
+      col_keep.push_back(static_cast<double>(ix) > kcut ? 0 : 1);
+    }
+  }
+  if (config_.dealias) adv_mask_ = {{}, std::move(col_keep)};
+  if (config_.integrating_factor) {
+    const double dt = config_.dt;
+    if_half_ = TensorD({n, nxr});
+    if_full_ = TensorD({n, nxr});
+    for (index_t iy = 0; iy < n; ++iy) {
+      const double ky = ky_[static_cast<std::size_t>(iy)];
+      for (index_t ix = 0; ix < nxr; ++ix) {
+        const double kx = kx_[static_cast<std::size_t>(ix)];
+        const double decay = config_.viscosity * (kx * kx + ky * ky);
+        if_half_(iy, ix) = std::exp(-decay * dt / 2.0);
+        if_full_(iy, ix) = std::exp(-decay * dt);
+      }
+    }
+  }
+}
 
 void SpectralNsSolver::set_vorticity(const TensorD& omega) {
   TURB_CHECK(omega.shape() == (Shape{config_.n, config_.n}));
-  what_ = fft::rfftn(omega, 2);
+  fft::rfftn_into(omega, 2, what_);
   time_ = 0.0;
 }
 
-SpectralNsSolver::SpecD SpectralNsSolver::nonlinear(const SpecD& what) const {
+void SpectralNsSolver::nonlinear(const SpecD& what, SpecD& out) {
+  using cpx = std::complex<double>;
   const index_t n = config_.n;
   const index_t nxr = n / 2 + 1;
-  // Velocity and vorticity gradients in spectral space.
-  SpecD u1h({n, nxr}), u2h({n, nxr}), wxh({n, nxr}), wyh({n, nxr});
+  // Velocity and vorticity gradients in spectral space, one slab each.
+  const index_t plane = n * nxr;
+  cpx* u1h = grad_spec_.data();
+  cpx* u2h = u1h + plane;
+  cpx* wxh = u2h + plane;
+  cpx* wyh = wxh + plane;
   for (index_t iy = 0; iy < n; ++iy) {
-    const double ky = kTwoPi * deriv_freq(iy, n);
+    const double ky = ky_deriv_[static_cast<std::size_t>(iy)];
     for (index_t ix = 0; ix < nxr; ++ix) {
-      const double kx = kTwoPi * deriv_freq(ix, n);
+      const double kx = kx_deriv_[static_cast<std::size_t>(ix)];
       const double k2 = kx * kx + ky * ky;
-      const std::complex<double> w = what(iy, ix);
-      const std::complex<double> psi = (k2 == 0.0) ? 0.0 : w / k2;
-      u1h(iy, ix) = std::complex<double>(0.0, ky) * psi;
-      u2h(iy, ix) = std::complex<double>(0.0, -kx) * psi;
-      wxh(iy, ix) = std::complex<double>(0.0, kx) * w;
-      wyh(iy, ix) = std::complex<double>(0.0, ky) * w;
+      const index_t i = iy * nxr + ix;
+      const cpx w = what[i];
+      const cpx psi = (k2 == 0.0) ? 0.0 : w / k2;
+      u1h[i] = cpx(0.0, ky) * psi;
+      u2h[i] = cpx(0.0, -kx) * psi;
+      wxh[i] = cpx(0.0, kx) * w;
+      wyh[i] = cpx(0.0, ky) * w;
     }
   }
-  const TensorD u1 = fft::irfftn(u1h, 2, n);
-  const TensorD u2 = fft::irfftn(u2h, 2, n);
-  const TensorD wx = fft::irfftn(wxh, 2, n);
-  const TensorD wy = fft::irfftn(wyh, 2, n);
+  fft::irfftn_into(grad_spec_, 2, n, grad_phys_);
 
   // Nonlinear term in physical space.
-  TensorD adv({n, n});
-  for (index_t i = 0; i < adv.size(); ++i) {
-    adv[i] = -(u1[i] * wx[i] + u2[i] * wy[i]);
+  const index_t cells = n * n;
+  const double* u1 = grad_phys_.data();
+  const double* u2 = u1 + cells;
+  const double* wx = u2 + cells;
+  const double* wy = wx + cells;
+  for (index_t i = 0; i < cells; ++i) {
+    adv_[i] = -(u1[i] * wx[i] + u2[i] * wy[i]);
   }
-  SpecD advh = fft::rfftn(adv, 2);
+  fft::rfftn_into(adv_, 2, out, config_.dealias ? &adv_mask_ : nullptr);
 
   // Kolmogorov forcing enters the vorticity equation as
   // −A·2πk_f·cos(2πk_f y): a purely real contribution at (±k_f, 0).
@@ -82,36 +139,37 @@ SpectralNsSolver::SpecD SpectralNsSolver::nonlinear(const SpecD& what) const {
     // forward convention is unscaled sums; the irfft divides by M).
     const double coeff = -config_.forcing_amplitude * kf *
                          static_cast<double>(n) * static_cast<double>(n) / 2.0;
-    advh(config_.forcing_k, index_t{0}) += coeff;
-    advh(n - config_.forcing_k, index_t{0}) += coeff;
+    out(config_.forcing_k, index_t{0}) += coeff;
+    out(n - config_.forcing_k, index_t{0}) += coeff;
   }
 
-  // 2/3-rule dealiasing.
-  const double kcut = config_.dealias ? static_cast<double>(n) / 3.0
-                                      : static_cast<double>(n);
-  for (index_t iy = 0; iy < n; ++iy) {
-    const double my = fft_freq(iy, n);
-    for (index_t ix = 0; ix < nxr; ++ix) {
-      const double mx = static_cast<double>(ix);
-      if (std::abs(my) > kcut || mx > kcut) {
-        advh(iy, ix) = 0.0;
+  // 2/3-rule dealiasing; this also clears the bins the pruned transform
+  // left unspecified.
+  if (config_.dealias) {
+    const std::vector<std::uint8_t>& col_keep = adv_mask_.back();
+    for (index_t iy = 0; iy < n; ++iy) {
+      const bool row_kept = row_keep_[static_cast<std::size_t>(iy)] != 0;
+      for (index_t ix = 0; ix < nxr; ++ix) {
+        if (!row_kept || col_keep[static_cast<std::size_t>(ix)] == 0) {
+          out[iy * nxr + ix] = 0.0;
+        }
       }
     }
   }
-  return advh;
 }
 
-SpectralNsSolver::SpecD SpectralNsSolver::rhs(const SpecD& what) const {
+void SpectralNsSolver::rhs(const SpecD& what, SpecD& out) {
   const index_t n = config_.n;
-  SpecD out = nonlinear(what);
+  const index_t nxr = n / 2 + 1;
+  nonlinear(what, out);
   for (index_t iy = 0; iy < n; ++iy) {
-    const double ky = kTwoPi * fft_freq(iy, n);
-    for (index_t ix = 0; ix < n / 2 + 1; ++ix) {
-      const double kx = kTwoPi * static_cast<double>(ix);
-      out(iy, ix) -= config_.viscosity * (kx * kx + ky * ky) * what(iy, ix);
+    const double ky = ky_[static_cast<std::size_t>(iy)];
+    for (index_t ix = 0; ix < nxr; ++ix) {
+      const double kx = kx_[static_cast<std::size_t>(ix)];
+      const index_t i = iy * nxr + ix;
+      out[i] -= config_.viscosity * (kx * kx + ky * ky) * what[i];
     }
   }
-  return out;
 }
 
 void SpectralNsSolver::step(index_t steps) {
@@ -130,66 +188,53 @@ void SpectralNsSolver::step(index_t steps) {
 
 void SpectralNsSolver::step_ifrk4() {
   const double dt = config_.dt;
-  const index_t n = config_.n;
-  const index_t nxr = n / 2 + 1;
-  if (if_half_.empty()) {
-    // exp(−νk²·dt/2) / exp(−νk²·dt) tables, built once per solver.
-    if_half_ = TensorD({n, nxr});
-    if_full_ = TensorD({n, nxr});
-    for (index_t iy = 0; iy < n; ++iy) {
-      const double ky = kTwoPi * fft_freq(iy, n);
-      for (index_t ix = 0; ix < nxr; ++ix) {
-        const double kx = kTwoPi * static_cast<double>(ix);
-        const double decay = config_.viscosity * (kx * kx + ky * ky);
-        if_half_(iy, ix) = std::exp(-decay * dt / 2.0);
-        if_full_(iy, ix) = std::exp(-decay * dt);
-      }
-    }
-  }
   // Classical integrating-factor RK4 (the viscous semigroup E is applied
   // analytically; N is the dealiased nonlinear + forcing term):
   //   k1 = N(ω);              k2 = N(E(ω + h/2 k1))
   //   k3 = N(Eω + h/2 k2);    k4 = N(E²ω + h·E k3)
   //   ω⁺ = E²ω + h/6 (E²k1 + 2E(k2 + k3) + k4)
-  const SpecD k1 = nonlinear(what_);
-  SpecD stage = what_;
-  for (index_t i = 0; i < stage.size(); ++i) {
-    stage[i] = (what_[i] + dt / 2.0 * k1[i]) * if_half_[i];
+  nonlinear(what_, k1_);
+  for (index_t i = 0; i < stage_.size(); ++i) {
+    stage_[i] = (what_[i] + dt / 2.0 * k1_[i]) * if_half_[i];
   }
-  const SpecD k2 = nonlinear(stage);
-  for (index_t i = 0; i < stage.size(); ++i) {
-    stage[i] = what_[i] * if_half_[i] + dt / 2.0 * k2[i];
+  nonlinear(stage_, k2_);
+  for (index_t i = 0; i < stage_.size(); ++i) {
+    stage_[i] = what_[i] * if_half_[i] + dt / 2.0 * k2_[i];
   }
-  const SpecD k3 = nonlinear(stage);
-  for (index_t i = 0; i < stage.size(); ++i) {
-    stage[i] = what_[i] * if_full_[i] + dt * if_half_[i] * k3[i];
+  nonlinear(stage_, k3_);
+  for (index_t i = 0; i < stage_.size(); ++i) {
+    stage_[i] = what_[i] * if_full_[i] + dt * if_half_[i] * k3_[i];
   }
-  const SpecD k4 = nonlinear(stage);
+  nonlinear(stage_, k4_);
   for (index_t i = 0; i < what_.size(); ++i) {
     what_[i] = what_[i] * if_full_[i] +
                dt / 6.0 *
-                   (if_full_[i] * k1[i] +
-                    2.0 * if_half_[i] * (k2[i] + k3[i]) + k4[i]);
+                   (if_full_[i] * k1_[i] +
+                    2.0 * if_half_[i] * (k2_[i] + k3_[i]) + k4_[i]);
   }
 }
 
 void SpectralNsSolver::step_rk4() {
   const double dt = config_.dt;
-  {
-    // Classic RK4.
-    SpecD k1 = rhs(what_);
-    SpecD k2w = what_;
-    for (index_t i = 0; i < k2w.size(); ++i) k2w[i] += 0.5 * dt * k1[i];
-    SpecD k2 = rhs(k2w);
-    SpecD k3w = what_;
-    for (index_t i = 0; i < k3w.size(); ++i) k3w[i] += 0.5 * dt * k2[i];
-    SpecD k3 = rhs(k3w);
-    SpecD k4w = what_;
-    for (index_t i = 0; i < k4w.size(); ++i) k4w[i] += dt * k3[i];
-    SpecD k4 = rhs(k4w);
-    for (index_t i = 0; i < what_.size(); ++i) {
-      what_[i] += dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-    }
+  // Classic RK4; each stage input is ω̂ plus a scaled previous stage.
+  rhs(what_, k1_);
+  for (index_t i = 0; i < stage_.size(); ++i) {
+    stage_[i] = what_[i];
+    stage_[i] += 0.5 * dt * k1_[i];
+  }
+  rhs(stage_, k2_);
+  for (index_t i = 0; i < stage_.size(); ++i) {
+    stage_[i] = what_[i];
+    stage_[i] += 0.5 * dt * k2_[i];
+  }
+  rhs(stage_, k3_);
+  for (index_t i = 0; i < stage_.size(); ++i) {
+    stage_[i] = what_[i];
+    stage_[i] += dt * k3_[i];
+  }
+  rhs(stage_, k4_);
+  for (index_t i = 0; i < what_.size(); ++i) {
+    what_[i] += dt / 6.0 * (k1_[i] + 2.0 * k2_[i] + 2.0 * k3_[i] + k4_[i]);
   }
 }
 

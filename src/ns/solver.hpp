@@ -15,6 +15,7 @@
 
 #include <memory>
 
+#include "fft/fftnd.hpp"
 #include "tensor/tensor.hpp"
 
 namespace turb::ns {
@@ -28,7 +29,9 @@ struct NsConfig {
   /// Kolmogorov forcing f = (A sin(2π k_f y), 0), i.e. a vorticity source
   /// −A·2πk_f·cos(2π k_f y). Zero amplitude = decaying turbulence (the
   /// paper's setting); nonzero exercises the forced-turbulence extension
-  /// the paper names in its outlook.
+  /// the paper names in its outlook. With forcing on, 1 ≤ k_f < n/2 is
+  /// required, and the dealiased spectral scheme needs k_f ≤ n/3 (the 2/3
+  /// rule would otherwise zero the forcing mode).
   double forcing_amplitude = 0.0;
   index_t forcing_k = 4;
   /// Integrating-factor RK4 (spectral scheme only): the viscous term is
@@ -42,6 +45,12 @@ class NsSolver {
   explicit NsSolver(NsConfig config) : config_(config) {
     TURB_CHECK(config_.n >= 8 && config_.n % 2 == 0);
     TURB_CHECK(config_.viscosity > 0.0 && config_.dt > 0.0);
+    if (config_.forcing_amplitude != 0.0) {
+      TURB_CHECK_MSG(
+          config_.forcing_k >= 1 && 2 * config_.forcing_k < config_.n,
+          "forcing_k " << config_.forcing_k << " outside [1, n/2) for n = "
+                       << config_.n);
+    }
   }
   virtual ~NsSolver() = default;
 
@@ -74,6 +83,12 @@ class NsSolver {
   double time_ = 0.0;
 };
 
+/// Plan-once, allocation-free pseudo-spectral stepper. The constructor
+/// builds the wavenumber tables, the 2/3-rule keep flags and every scratch
+/// buffer; step() then runs with no heap allocation. Each right-hand side
+/// inverts the four fields u₁, u₂, ∂ₓω, ∂ᵧω in one batched transform and
+/// forward-transforms the advection term with the kx > n/3 bins pruned
+/// (dealias on), which the 2/3 rule zeroes anyway.
 class SpectralNsSolver final : public NsSolver {
  public:
   explicit SpectralNsSolver(NsConfig config);
@@ -83,17 +98,33 @@ class SpectralNsSolver final : public NsSolver {
 
  private:
   using SpecD = Tensor<std::complex<double>>;
-  /// Nonlinear + forcing part: −dealias(FFT(u·∇ω)) + F̂.
-  SpecD nonlinear(const SpecD& what) const;
-  /// Full right-hand side: nonlinear(ω̂) − νk²ω̂.
-  SpecD rhs(const SpecD& what) const;
+  /// Nonlinear + forcing part into `out`: −dealias(FFT(u·∇ω)) + F̂.
+  void nonlinear(const SpecD& what, SpecD& out);
+  /// Full right-hand side into `out`: nonlinear(ω̂) − νk²ω̂.
+  void rhs(const SpecD& what, SpecD& out);
   void step_rk4();
   void step_ifrk4();
 
   SpecD what_;  // ω̂, (n, n/2+1)
+  // Wavenumbers 2π·m per row (ky) and per rfft column (kx): the derivative
+  // convention (deriv_freq, Nyquist → 0) and the signed fft_freq one the
+  // viscous term uses.
+  std::vector<double> ky_deriv_, kx_deriv_, ky_, kx_;
+  // 2/3-rule keep flags per row; the per-column flags are the last axis of
+  // adv_mask_, which prunes the advection term's forward transform. Both
+  // are empty when dealiasing is off.
+  std::vector<std::uint8_t> row_keep_;
+  fft::ModeMask adv_mask_;
   // Integrating-factor tables exp(−νk²·dt/2) and exp(−νk²·dt).
   TensorD if_half_;
   TensorD if_full_;
+  // Scratch: the gradient spectra û₁, û₂, ∂ₓω̂, ∂ᵧω̂ stacked (4, n, n/2+1),
+  // their physical fields (4, n, n), the advection term (n, n), the RK
+  // stages k1–k4 and the stage spectrum.
+  SpecD grad_spec_;
+  TensorD grad_phys_;
+  TensorD adv_;
+  SpecD k1_, k2_, k3_, k4_, stage_;
 };
 
 class FdNsSolver final : public NsSolver {

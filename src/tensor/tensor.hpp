@@ -86,6 +86,32 @@ class Tensor {
     strides_ = row_major_strides(shape_);
   }
 
+  /// Change shape and element count in place. Storage is reused whenever
+  /// its capacity suffices, so this never allocates for a shape no larger
+  /// than one held before; element values are unspecified afterwards.
+  void resize(std::span<const index_t> shape) {
+    shape_.assign(shape.begin(), shape.end());
+    strides_.resize(shape_.size());
+    index_t acc = 1;
+    for (std::size_t i = shape_.size(); i-- > 0;) {
+      TURB_CHECK(shape_[i] >= 0);
+      strides_[i] = acc;
+      acc *= shape_[i];
+    }
+    const auto count = static_cast<std::size_t>(acc);
+    if (count > data_.capacity()) {
+      // Grow to exactly `count`, releasing the old block first (vector's
+      // geometric growth would over-allocate).
+      std::vector<T>().swap(data_);
+    }
+    data_.resize(count);
+  }
+
+  /// Elements the current storage holds without reallocating.
+  [[nodiscard]] index_t capacity() const {
+    return static_cast<index_t>(data_.capacity());
+  }
+
   // --- element access ----------------------------------------------------
 
   [[nodiscard]] T* data() { return data_.data(); }

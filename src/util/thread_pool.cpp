@@ -212,11 +212,6 @@ void parallel_for(index_t begin, index_t end,
   ThreadPool::current().parallel_for(begin, end, body);
 }
 
-void parallel_for_chunked(index_t begin, index_t end,
-                          const std::function<void(index_t, index_t)>& body) {
-  ThreadPool::current().parallel_for_chunked(begin, end, body);
-}
-
 index_t slab_count(index_t begin, index_t end, index_t slots) {
   if (end <= begin) return 0;
   return std::min<index_t>(slots, end - begin);

@@ -1,12 +1,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <numbers>
+#include <ostream>
 
+#include "fft/fftnd.hpp"
 #include "lbm/initializer.hpp"
 #include "ns/solver.hpp"
 #include "ns/spectral_ops.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
+
+#include "alloc_hook.hpp"
 
 namespace turb::ns {
 namespace {
@@ -406,6 +415,289 @@ TEST(NsSolver, SuggestDtRespectsCflAndDiffusion) {
   SpectralNsSolver solver2(cfg2);
   EXPECT_NEAR(solver2.suggest_dt(1e-6), 0.25 / (64.0 * 64.0 * 0.5), 1e-12);
 }
+
+TEST(NsSolver, ForcingWavenumberOutOfRangeRejected) {
+  NsConfig cfg;
+  cfg.n = 32;
+  cfg.forcing_amplitude = 1.0;
+  // Outside [1, n/2): k_f = 0 and k_f ≥ n would index past the spectrum.
+  for (const index_t kf : {index_t{0}, index_t{-1}, index_t{16},
+                           index_t{32}, index_t{40}}) {
+    cfg.forcing_k = kf;
+    EXPECT_THROW(make_ns_solver("spectral", cfg), CheckError) << kf;
+    EXPECT_THROW(make_ns_solver("fd", cfg), CheckError) << kf;
+  }
+  // With the 2/3 rule on, k_f > n/3 would be zeroed: an unforced run.
+  cfg.forcing_k = 11;
+  EXPECT_THROW(make_ns_solver("spectral", cfg), CheckError);
+  EXPECT_NO_THROW(make_ns_solver("fd", cfg));
+  cfg.dealias = false;
+  EXPECT_NO_THROW(make_ns_solver("spectral", cfg));
+  cfg.dealias = true;
+  cfg.forcing_k = 10;  // ≤ n/3
+  EXPECT_NO_THROW(make_ns_solver("spectral", cfg));
+  // Unforced runs ignore forcing_k.
+  cfg.forcing_amplitude = 0.0;
+  cfg.forcing_k = 0;
+  EXPECT_NO_THROW(make_ns_solver("spectral", cfg));
+}
+
+// --- planned spectral step vs the allocate-per-call reference ---------------
+
+/// The pseudo-spectral RK4 / IF-RK4 step as it stood before the solver was
+/// planned: every right-hand side allocates its spectra, runs four separate
+/// inverse transforms and an unpruned forward one. Kept verbatim as the
+/// oracle for SpectralNsSolver.
+class ReferenceSpectralNs {
+ public:
+  using SpecD = Tensor<std::complex<double>>;
+
+  explicit ReferenceSpectralNs(NsConfig config) : config_(config) {}
+
+  void set_vorticity(const TensorD& omega) { what_ = fft::rfftn(omega, 2); }
+
+  void step(index_t steps) {
+    for (index_t s = 0; s < steps; ++s) {
+      if (config_.integrating_factor) {
+        step_ifrk4();
+      } else {
+        step_rk4();
+      }
+    }
+  }
+
+  [[nodiscard]] TensorD vorticity() const {
+    return fft::irfftn(what_, 2, config_.n);
+  }
+
+ private:
+  SpecD nonlinear(const SpecD& what) const {
+    const index_t n = config_.n;
+    const index_t nxr = n / 2 + 1;
+    SpecD u1h({n, nxr}), u2h({n, nxr}), wxh({n, nxr}), wyh({n, nxr});
+    for (index_t iy = 0; iy < n; ++iy) {
+      const double ky = kTwoPi * deriv_freq(iy, n);
+      for (index_t ix = 0; ix < nxr; ++ix) {
+        const double kx = kTwoPi * deriv_freq(ix, n);
+        const double k2 = kx * kx + ky * ky;
+        const std::complex<double> w = what(iy, ix);
+        const std::complex<double> psi = (k2 == 0.0) ? 0.0 : w / k2;
+        u1h(iy, ix) = std::complex<double>(0.0, ky) * psi;
+        u2h(iy, ix) = std::complex<double>(0.0, -kx) * psi;
+        wxh(iy, ix) = std::complex<double>(0.0, kx) * w;
+        wyh(iy, ix) = std::complex<double>(0.0, ky) * w;
+      }
+    }
+    const TensorD u1 = fft::irfftn(u1h, 2, n);
+    const TensorD u2 = fft::irfftn(u2h, 2, n);
+    const TensorD wx = fft::irfftn(wxh, 2, n);
+    const TensorD wy = fft::irfftn(wyh, 2, n);
+    TensorD adv({n, n});
+    for (index_t i = 0; i < adv.size(); ++i) {
+      adv[i] = -(u1[i] * wx[i] + u2[i] * wy[i]);
+    }
+    SpecD advh = fft::rfftn(adv, 2);
+    if (config_.forcing_amplitude != 0.0) {
+      const double kf = kTwoPi * static_cast<double>(config_.forcing_k);
+      const double coeff = -config_.forcing_amplitude * kf *
+                           static_cast<double>(n) * static_cast<double>(n) /
+                           2.0;
+      advh(config_.forcing_k, index_t{0}) += coeff;
+      advh(n - config_.forcing_k, index_t{0}) += coeff;
+    }
+    const double kcut = config_.dealias ? static_cast<double>(n) / 3.0
+                                        : static_cast<double>(n);
+    for (index_t iy = 0; iy < n; ++iy) {
+      const double my = fft_freq(iy, n);
+      for (index_t ix = 0; ix < nxr; ++ix) {
+        const double mx = static_cast<double>(ix);
+        if (std::abs(my) > kcut || mx > kcut) {
+          advh(iy, ix) = 0.0;
+        }
+      }
+    }
+    return advh;
+  }
+
+  SpecD rhs(const SpecD& what) const {
+    const index_t n = config_.n;
+    SpecD out = nonlinear(what);
+    for (index_t iy = 0; iy < n; ++iy) {
+      const double ky = kTwoPi * fft_freq(iy, n);
+      for (index_t ix = 0; ix < n / 2 + 1; ++ix) {
+        const double kx = kTwoPi * static_cast<double>(ix);
+        out(iy, ix) -= config_.viscosity * (kx * kx + ky * ky) * what(iy, ix);
+      }
+    }
+    return out;
+  }
+
+  void step_ifrk4() {
+    const double dt = config_.dt;
+    const index_t n = config_.n;
+    const index_t nxr = n / 2 + 1;
+    if (if_half_.empty()) {
+      if_half_ = TensorD({n, nxr});
+      if_full_ = TensorD({n, nxr});
+      for (index_t iy = 0; iy < n; ++iy) {
+        const double ky = kTwoPi * fft_freq(iy, n);
+        for (index_t ix = 0; ix < nxr; ++ix) {
+          const double kx = kTwoPi * static_cast<double>(ix);
+          const double decay = config_.viscosity * (kx * kx + ky * ky);
+          if_half_(iy, ix) = std::exp(-decay * dt / 2.0);
+          if_full_(iy, ix) = std::exp(-decay * dt);
+        }
+      }
+    }
+    const SpecD k1 = nonlinear(what_);
+    SpecD stage = what_;
+    for (index_t i = 0; i < stage.size(); ++i) {
+      stage[i] = (what_[i] + dt / 2.0 * k1[i]) * if_half_[i];
+    }
+    const SpecD k2 = nonlinear(stage);
+    for (index_t i = 0; i < stage.size(); ++i) {
+      stage[i] = what_[i] * if_half_[i] + dt / 2.0 * k2[i];
+    }
+    const SpecD k3 = nonlinear(stage);
+    for (index_t i = 0; i < stage.size(); ++i) {
+      stage[i] = what_[i] * if_full_[i] + dt * if_half_[i] * k3[i];
+    }
+    const SpecD k4 = nonlinear(stage);
+    for (index_t i = 0; i < what_.size(); ++i) {
+      what_[i] = what_[i] * if_full_[i] +
+                 dt / 6.0 *
+                     (if_full_[i] * k1[i] +
+                      2.0 * if_half_[i] * (k2[i] + k3[i]) + k4[i]);
+    }
+  }
+
+  void step_rk4() {
+    const double dt = config_.dt;
+    SpecD k1 = rhs(what_);
+    SpecD k2w = what_;
+    for (index_t i = 0; i < k2w.size(); ++i) k2w[i] += 0.5 * dt * k1[i];
+    SpecD k2 = rhs(k2w);
+    SpecD k3w = what_;
+    for (index_t i = 0; i < k3w.size(); ++i) k3w[i] += 0.5 * dt * k2[i];
+    SpecD k3 = rhs(k3w);
+    SpecD k4w = what_;
+    for (index_t i = 0; i < k4w.size(); ++i) k4w[i] += dt * k3[i];
+    SpecD k4 = rhs(k4w);
+    for (index_t i = 0; i < what_.size(); ++i) {
+      what_[i] += dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
+    }
+  }
+
+  NsConfig config_;
+  SpecD what_;
+  TensorD if_half_, if_full_;
+};
+
+struct PlannedCase {
+  const char* name;
+  index_t n;
+  bool dealias;
+  double forcing_amplitude;
+  bool integrating_factor;
+};
+
+// gtest would otherwise print the raw bytes of the case, name pointer
+// included, into the test names, which then change with every build.
+void PrintTo(const PlannedCase& c, std::ostream* os) { *os << c.name; }
+
+/// Solver configuration and turbulent initial vorticity for a case.
+NsConfig planned_config(const PlannedCase& c) {
+  NsConfig cfg;
+  cfg.n = c.n;
+  cfg.viscosity = 2e-3;
+  cfg.dt = 5e-4;
+  cfg.dealias = c.dealias;
+  cfg.forcing_amplitude = c.forcing_amplitude;
+  cfg.forcing_k = 3;
+  cfg.integrating_factor = c.integrating_factor;
+  return cfg;
+}
+
+TensorD planned_initial_vorticity(index_t n) {
+  Rng rng(97);
+  const auto field = lbm::random_vortex_velocity(n, n, 4.0, 1.0, rng);
+  return vorticity_from_velocity(field.u1, field.u2);
+}
+
+class PlannedStep : public ::testing::TestWithParam<PlannedCase> {};
+
+TEST_P(PlannedStep, MatchesAllocatingReferenceOver200Steps) {
+  const NsConfig cfg = planned_config(GetParam());
+  const TensorD w0 = planned_initial_vorticity(cfg.n);
+  SpectralNsSolver planned(cfg);
+  ReferenceSpectralNs reference(cfg);
+  planned.set_vorticity(w0);
+  reference.set_vorticity(w0);
+  planned.step(200);
+  reference.step(200);
+  const TensorD a = planned.vorticity();
+  const TensorD b = reference.vorticity();
+  double max_diff = 0.0;
+  for (index_t i = 0; i < a.size(); ++i) {
+    max_diff = std::max(max_diff, std::abs(a[i] - b[i]));
+  }
+  const double scale = b.max_abs();
+  ASSERT_TRUE(std::isfinite(scale) && scale > 0.0);
+  // Same arithmetic in the same order; only the FFT line grouping and the
+  // pruned forward bins differ, both bitwise-neutral. The tolerance covers
+  // compilers that contract the unchanged expressions differently at the
+  // two call sites (-ffp-contract=fast).
+  EXPECT_LE(max_diff, 1e-12 * scale);
+  const bool bitwise =
+      std::memcmp(a.data(), b.data(), sizeof(double) * a.size()) == 0;
+  char rel[32];
+  std::snprintf(rel, sizeof(rel), "%.3e", max_diff / scale);
+  RecordProperty("max_rel_diff", rel);
+  RecordProperty("bitwise", bitwise ? "yes" : "no");
+}
+
+TEST_P(PlannedStep, BitwiseAcrossPoolWidths) {
+  const NsConfig cfg = planned_config(GetParam());
+  const TensorD w0 = planned_initial_vorticity(cfg.n);
+  const auto run = [&](std::size_t width) {
+    ThreadPool::Scope scope(width);
+    SpectralNsSolver solver(cfg);
+    solver.set_vorticity(w0);
+    solver.step(40);
+    return solver.vorticity();
+  };
+  const TensorD a = run(1);
+  const TensorD b = run(4);
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), sizeof(double) * a.size()), 0);
+}
+
+TEST_P(PlannedStep, StepIsAllocationFreeAfterTheFirst) {
+  const NsConfig cfg = planned_config(GetParam());
+  const TensorD w0 = planned_initial_vorticity(cfg.n);
+  ThreadPool::Scope scope(1);
+  SpectralNsSolver solver(cfg);
+  solver.set_vorticity(w0);
+  solver.step(1);  // warm-up: per-thread FFT scratch and plan memo
+  EXPECT_EQ(count_allocs([&] {
+              solver.step(3);
+              solver.step(1);
+            }),
+            0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, PlannedStep,
+    ::testing::Values(PlannedCase{"rk4_dealias_n32", 32, true, 0.0, false},
+                      PlannedCase{"rk4_aliased_n32", 32, false, 0.0, false},
+                      PlannedCase{"rk4_forced_n64", 64, true, 2.0, false},
+                      PlannedCase{"ifrk4_n64", 64, true, 0.0, true},
+                      PlannedCase{"ifrk4_forced_aliased_n48", 48, false, 2.0,
+                                  true},
+                      PlannedCase{"rk4_dealias_n48", 48, true, 0.0, false}),
+    [](const ::testing::TestParamInfo<PlannedCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(NsSolver, UnknownSchemeRejected) {
   NsConfig cfg;
