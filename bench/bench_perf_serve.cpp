@@ -8,7 +8,7 @@
 // tier and the weight-compression tier both show up in the trajectory
 // record. Ensemble rows serve 16 logical sessions at K ∈ {1, 2, 4, 8}
 // members each, recording member-snapshot throughput and the mean relative
-// spread. Four correctness exercises ride along and gate the exit code:
+// spread. Five correctness exercises ride along and gate the exit code:
 //
 //   * bitwise verification — a small session set is served concurrently at
 //     thread-pool widths 1 and 4 and compared byte-for-byte against
@@ -20,6 +20,11 @@
 //     to exactly-zero variance, perturbed members to finite positive
 //     variance, and serve/ensemble_members must account every fanned-out
 //     member stream;
+//   * hybrid contract — the paper's 5/5 FNO↔PDE sessions
+//     (core::HybridScheduler::request) served next to plain sessions at
+//     pool widths 1 and 4 must be bitwise equal to HybridScheduler::run, keep
+//     the 5/5 alternation, and leave their plain batchmates bitwise equal to
+//     core::run_rollout;
 //   * admission saturation — a deliberately tiny queue is overfilled and
 //     the reject-with-reason path (serve/admission_rejects) asserted.
 //
@@ -40,10 +45,13 @@
 
 #include "analysis/stats.hpp"
 #include "core/fno_propagator.hpp"
+#include "core/hybrid.hpp"
+#include "core/pde_propagator.hpp"
 #include "core/rollout_api.hpp"
 #include "fno/fno.hpp"
 #include "json_out.hpp"
 #include "lbm/initializer.hpp"
+#include "ns/solver.hpp"
 #include "obs/obs.hpp"
 #include "serve/server.hpp"
 #include "util/cli.hpp"
@@ -292,6 +300,76 @@ std::vector<core::RolloutResult> serve_batch(core::FnoPropagator& fno_prop,
   return out;
 }
 
+struct HybridContract {
+  index_t sessions = 2;   ///< hybrid sessions (and as many plain ones)
+  index_t steps = 13;     ///< one full 5/5 cycle plus a partial one
+  bool bitwise = true;    ///< hybrid == HybridScheduler::run, plain == run_rollout
+  bool alternates = true; ///< producers follow the 5/5 "fno"/"pde" pattern
+  double wall_seconds = 0.0;  ///< last serving leg, submission to drain
+};
+
+/// Serve 5/5 hybrid sessions interleaved with plain ones through one server
+/// (FNO windows micro-batched, PDE windows alone) at pool widths 1 and 4,
+/// and compare every result with its synchronous reference.
+HybridContract run_hybrid_contract(core::FnoPropagator& fno_prop) {
+  ns::NsConfig nc;
+  nc.n = g_grid;
+  nc.dt = kDtSnap / 10.0;
+  core::PdePropagator pde(std::make_unique<ns::SpectralNsSolver>(nc),
+                          kDtSnap);
+  core::HybridConfig hc;
+  hc.fno_snapshots = 5;
+  hc.pde_snapshots = 5;
+  core::HybridScheduler scheduler(fno_prop, pde, hc);
+
+  HybridContract contract;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool::Scope scope(threads);
+    serve::RolloutServer server(fno_prop, &pde,
+                                serve::ServeConfig::from_runtime());
+    struct Expected {
+      serve::SessionId id;
+      core::RolloutResult result;
+      bool hybrid;
+    };
+    std::vector<Expected> expected;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (index_t s = 0; s < contract.sessions; ++s) {
+      const core::History seed = make_seed_history(
+          g_grid, g_cin, static_cast<std::uint64_t>(s) + 300);
+      core::RolloutRequest plain;
+      plain.seed = seed;
+      plain.steps = g_steps;
+      expected.push_back({server.submit(plain).id,
+                          core::run_rollout(fno_prop, plain), false});
+      expected.push_back({server.submit(scheduler.request(seed,
+                                                          contract.steps)).id,
+                          scheduler.run(seed, contract.steps), true});
+    }
+    server.drain();
+    contract.wall_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    for (const Expected& e : expected) {
+      if (e.id < 0) {
+        contract.bitwise = false;
+        continue;
+      }
+      const core::RolloutResult served = server.take(e.id);
+      contract.bitwise = contract.bitwise && bitwise_equal(e.result, served);
+      if (!e.hybrid) continue;
+      for (std::size_t i = 0; i < served.producer.size(); ++i) {
+        const char* want = (i / 5) % 2 == 0 ? "fno" : "pde";
+        contract.alternates = contract.alternates && served.producer[i] == want;
+      }
+      contract.alternates =
+          contract.alternates &&
+          static_cast<index_t>(served.producer.size()) == contract.steps;
+    }
+  }
+  return contract;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -472,6 +550,16 @@ int main(int argc, char** argv) {
       static_cast<long long>(ensemble_members_expected),
       ensemble_ok ? "ok" : "FAILED");
 
+  // --- hybrid contract: served FNO↔PDE sessions -------------------------
+  const HybridContract hybrid = run_hybrid_contract(fno_prop);
+  const bool hybrid_ok = hybrid.bitwise && hybrid.alternates;
+  std::printf(
+      "hybrid contract: %lld 5/5 sessions x %lld snapshots beside plain "
+      "sessions (threads 1,4): bitwise %s  alternation %s  wall %.3f s\n",
+      static_cast<long long>(hybrid.sessions),
+      static_cast<long long>(hybrid.steps), hybrid.bitwise ? "ok" : "FAILED",
+      hybrid.alternates ? "ok" : "FAILED", hybrid.wall_seconds);
+
   // --- admission saturation ---------------------------------------------
   const std::int64_t rejects_before =
       obs::counter("serve/admission_rejects").value();
@@ -551,6 +639,16 @@ int main(int argc, char** argv) {
   econtract.integer("members_counter_expected", ensemble_members_expected);
   econtract.boolean("ok", ensemble_ok);
   doc.object("ensemble_contract", std::move(econtract));
+  bench::JsonObject hcontract;
+  hcontract.integer("fno_snapshots", 5);
+  hcontract.integer("pde_snapshots", 5);
+  hcontract.integer("sessions", hybrid.sessions);
+  hcontract.integer("steps", hybrid.steps);
+  hcontract.boolean("bitwise_vs_scheduler_threads_1_4", hybrid.bitwise);
+  hcontract.boolean("alternation", hybrid.alternates);
+  hcontract.number("wall_seconds", hybrid.wall_seconds, "%.4f");
+  hcontract.boolean("ok", hybrid_ok);
+  doc.object("hybrid_contract", std::move(hcontract));
   bench::JsonObject saturation;
   saturation.integer("submitted", 4);
   saturation.integer("queue_capacity", 2);
@@ -592,5 +690,5 @@ int main(int argc, char** argv) {
   if (!bench::write_bench_json(out_path, "bench_perf_serve", std::move(doc))) {
     return 1;
   }
-  return (bitwise_ok && bf16_ok && ensemble_ok) ? 0 : 1;
+  return (bitwise_ok && bf16_ok && ensemble_ok && hybrid_ok) ? 0 : 1;
 }

@@ -43,7 +43,11 @@
 #     fanned-out member stream, identical members reduced to exactly-zero
 #     variance, perturbed members to finite positive variance
 #     (ensemble_contract.ok), and steady-state allocations stayed zero
-#     across the ensemble legs too.
+#     across the ensemble legs too. The hybrid leg is asserted as well:
+#     served 5/5 FNO↔PDE sessions are bitwise equal to
+#     core::HybridScheduler::run at pool widths 1 and 4, keep the 5/5
+#     alternation, and leave their plain batchmates bitwise unchanged
+#     (hybrid_contract.ok).
 #  6. A fault-injection smoke: examples/robust_smoke corrupts a checkpoint
 #     (loader must reject it and bump robust/corrupt_rejected), checks the
 #     checkpoint format matrix (TNN3 bf16 round-trip quantized exactly,
@@ -248,6 +252,11 @@ assert ec["members_counter_delta"] == ec["members_counter_expected"], \
 assert ec["ok"] is True, "ensemble contract failed"
 assert d["counters"]["serve/ensemble_members"] >= 4, \
     "serve/ensemble_members counter missing from the serving bench"
+hc = d["hybrid_contract"]
+assert hc["bitwise_vs_scheduler_threads_1_4"] is True, \
+    "served hybrid sessions diverged from HybridScheduler::run"
+assert hc["alternation"] is True, "served hybrid broke the 5/5 alternation"
+assert hc["ok"] is True, "hybrid contract failed"
 EOF
 
 # Fault-injection smoke: corrupt checkpoints rejected, divergent rollouts

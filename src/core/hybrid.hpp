@@ -6,13 +6,16 @@
 // (divergence-free velocity, dissipation) before the surrogate resumes. With
 // fno_snapshots = 0 the rollout is pure PDE; with pde_snapshots = 0 it is a
 // pure FNO rollout — the three curves of Figs. 8–9 come from one code path.
+//
+// The alternation itself is a RolloutRequest window policy executed by
+// RolloutStream (core/rollout_api.hpp): this class only maps its config onto
+// one request (fno_snapshots → window, pde_snapshots → fallback_window),
+// so the same hybrid session can equally be submitted to
+// serve::RolloutServer.
 #pragma once
 
-#include <functional>
-#include <memory>
-
-#include "core/metrics.hpp"
 #include "core/propagator.hpp"
+#include "core/rollout_api.hpp"
 #include "core/rollout_guard.hpp"
 
 namespace turb::core {
@@ -20,41 +23,26 @@ namespace turb::core {
 struct HybridConfig {
   index_t fno_snapshots = 5;  ///< surrogate window length (0 = pure PDE)
   index_t pde_snapshots = 5;  ///< solver window length (0 = pure FNO)
-  bool start_with_fno = true; ///< which propagator opens the alternation
-  index_t max_history = 64;   ///< rolling-history truncation
   /// Optional divergence guard over FNO windows (disabled by default; with
   /// the guard off — or on but untripped — the rollout is bitwise identical
   /// to the unguarded scheduler). A tripped FNO window is discarded and
-  /// replaced by a PDE cool-down, recorded as "<pde>_fallback" in
-  /// RolloutResult::producer and as a GuardEvent.
+  /// replaced by a PDE cool-down of guard.cooldown_snapshots (or, when that
+  /// is 0, of pde_snapshots), recorded as "<pde>_fallback" in
+  /// RolloutResult::producer and as a GuardEvent; the FNO then resumes.
   GuardConfig guard;
-};
-
-struct RolloutResult {
-  std::vector<FieldSnapshot> trajectory;  ///< produced snapshots, in order
-  std::vector<SnapshotMetrics> metrics;   ///< diagnostics per snapshot
-  std::vector<std::string> producer;      ///< which propagator made each one
-  std::vector<GuardEvent> guard_events;   ///< discarded-window trips, in order
-
-  /// Ensemble UQ (serve::RolloutServer with RolloutRequest::ensemble_k > 1):
-  /// how many member rollouts this result reduces over (1 = plain rollout),
-  /// the per-snapshot spread diagnostics (one entry per trajectory snapshot;
-  /// empty for plain rollouts), and — when the request asked to keep them —
-  /// the individual member results (each bitwise identical to a solo rollout
-  /// of that member's perturbed seed).
-  index_t ensemble_members = 1;
-  std::vector<EnsembleSnapshotSpread> spread;
-  std::vector<RolloutResult> member_results;
-
-  [[nodiscard]] index_t guard_trips() const {
-    return static_cast<index_t>(guard_events.size());
-  }
 };
 
 class HybridScheduler {
  public:
   /// Both propagators must share the same dt_snap (checked).
   HybridScheduler(Propagator& fno, Propagator& pde, HybridConfig config);
+
+  /// The request run(seed, total_snapshots) executes. With fno_snapshots > 0
+  /// it is FNO-primary with the PDE as fallback, so it can be submitted to
+  /// serve::RolloutServer as is; pure PDE runs the PDE as the (unguarded)
+  /// primary.
+  [[nodiscard]] RolloutRequest request(History seed,
+                                       index_t total_snapshots) const;
 
   /// Extend `seed` (the initial history, oldest first) by `total_snapshots`.
   /// The seed must satisfy the FNO's min_history when fno windows are
@@ -66,17 +54,5 @@ class HybridScheduler {
   Propagator* pde_;
   HybridConfig config_;
 };
-
-/// Convenience: single-propagator rollout with metrics (pure PDE / pure FNO).
-/// The seed must be non-empty and at least the propagator's min_history.
-///
-/// DEPRECATED: thin compat wrapper over the unified request API — prefer
-/// core::run_rollout(propagator, RolloutRequest{...}) (core/rollout_api.hpp),
-/// which adds guard config, fallback degradation, and scheduling hints, and
-/// is what the serving layer (serve::RolloutServer) consumes. Results are
-/// bitwise identical for a default request.
-[[deprecated("use core::run_rollout(propagator, RolloutRequest{...})")]]
-RolloutResult run_single(Propagator& propagator, const History& seed,
-                         index_t total_snapshots);
 
 }  // namespace turb::core

@@ -1,6 +1,7 @@
 #include "core/rollout_api.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "obs/obs.hpp"
@@ -20,6 +21,10 @@ std::vector<FieldSnapshot> advance_timed(Propagator& propagator,
 
 }  // namespace detail
 
+bool same_dt_snap(const Propagator& a, const Propagator& b) {
+  return std::abs(a.dt_snap() - b.dt_snap()) < 1e-12 * a.dt_snap();
+}
+
 RolloutStream::RolloutStream(RolloutRequest request, Propagator* primary,
                              Propagator* fallback)
     : request_(std::move(request)),
@@ -29,6 +34,7 @@ RolloutStream::RolloutStream(RolloutRequest request, Propagator* primary,
   TURB_CHECK(primary_ != nullptr);
   TURB_CHECK(request_.steps >= 1);
   TURB_CHECK(request_.window >= 1);
+  TURB_CHECK(request_.fallback_window >= 0);
   TURB_CHECK(request_.batch_hint >= 1);
   TURB_CHECK_MSG(!request_.seed.empty(), "empty seed history");
   TURB_CHECK_MSG(
@@ -39,17 +45,27 @@ RolloutStream::RolloutStream(RolloutRequest request, Propagator* primary,
   TURB_CHECK(request_.max_history >= primary_->min_history());
   TURB_CHECK_MSG(!request_.guard.enabled || fallback_ != nullptr,
                  "guarded rollout requests need a fallback propagator");
+  if (request_.fallback_window > 0) {
+    TURB_CHECK_MSG(fallback_ != nullptr,
+                   "alternating rollout requests need a fallback propagator");
+    TURB_CHECK_MSG(same_dt_snap(*primary_, *fallback_),
+                   "propagators disagree on snapshot spacing: "
+                       << primary_->dt_snap() << " vs "
+                       << fallback_->dt_snap());
+  }
   TURB_CHECK_MSG(request_.ensemble_k == 1,
                  "a RolloutStream executes one member; K-member ensembles "
                  "are fanned out by serve::RolloutServer");
-  history_ = request_.seed;
+  history_ = std::move(request_.seed);
+  request_.seed.clear();
   result_.trajectory.reserve(static_cast<std::size_t>(request_.steps));
 }
 
 index_t RolloutStream::next_window() const {
-  index_t w = std::min(request_.window, request_.steps - produced_);
-  if (cooldown_left_ > 0) w = std::min(w, cooldown_left_);
-  return std::max<index_t>(w, 0);
+  const index_t left = request_.steps - produced_;
+  const bool fixed = turn_ == Turn::scheduled || turn_ == Turn::cooldown;
+  return std::max<index_t>(
+      std::min(fixed ? fallback_len_ : request_.window, left), 0);
 }
 
 void RolloutStream::append_window(std::vector<FieldSnapshot>&& snaps,
@@ -77,7 +93,7 @@ void RolloutStream::accept_primary_window(
 void RolloutStream::accept_primary_window(
     std::vector<FieldSnapshot>&& snaps,
     std::vector<SnapshotMetrics>&& metrics) {
-  TURB_CHECK_MSG(!degraded(), "primary window fed to a degraded stream");
+  TURB_CHECK_MSG(primary_due(), "primary window fed out of turn");
   TURB_CHECK_MSG(static_cast<index_t>(snaps.size()) == next_window(),
                  "window holds " << snaps.size() << " snapshots, expected "
                                  << next_window());
@@ -99,53 +115,56 @@ void RolloutStream::accept_primary_window(
     if (trip != GuardTrip::none) {
       // Discard the whole window (the model was already leaving the
       // attractor before the offending snapshot) and hand the stream to the
-      // fallback: for a cool-down when configured, else for good.
+      // fallback for one cool-down window — or for good when neither a
+      // cool-down nor an alternation window is configured.
       obs::counter("robust/guard_trips").add();
       result_.guard_events.push_back(
           {static_cast<index_t>(result_.trajectory.size()), snaps[bad].t,
            trip, value});
-      if (request_.guard.cooldown_snapshots > 0) {
-        cooldown_left_ = request_.guard.cooldown_snapshots;
-      } else {
-        degraded_for_good_ = true;
-      }
+      force_degrade(request_.guard.cooldown_snapshots > 0
+                        ? request_.guard.cooldown_snapshots
+                        : request_.fallback_window);
       return;
     }
   }
   append_window(std::move(snaps), std::move(metrics), primary_->name());
+  if (request_.fallback_window > 0) {
+    turn_ = Turn::scheduled;
+    fallback_len_ = request_.fallback_window;
+  }
 }
 
 void RolloutStream::advance_fallback_window() {
   TURB_CHECK_MSG(fallback_ != nullptr, "stream has no fallback propagator");
+  TURB_CHECK_MSG(!done() && !primary_due(), "no fallback window is due");
   const index_t count = next_window();
-  TURB_CHECK(count >= 1);
   std::vector<FieldSnapshot> snaps =
       detail::advance_timed(*fallback_, history_, count);
   std::vector<SnapshotMetrics> metrics = compute_metrics(snaps);
-  append_window(std::move(snaps), std::move(metrics),
-                fallback_->name() + "_fallback");
-  obs::counter("robust/fallback_windows").add();
-  obs::counter("robust/fallback_snapshots").add(count);
-  if (cooldown_left_ > 0) cooldown_left_ -= count;
+  if (turn_ == Turn::scheduled) {
+    append_window(std::move(snaps), std::move(metrics), fallback_->name());
+  } else {
+    append_window(std::move(snaps), std::move(metrics),
+                  fallback_->name() + "_fallback");
+    obs::counter("robust/fallback_windows").add();
+    obs::counter("robust/fallback_snapshots").add(count);
+  }
+  if (turn_ != Turn::degraded) turn_ = Turn::primary;
 }
 
 void RolloutStream::force_degrade(index_t cooldown_snapshots) {
   TURB_CHECK_MSG(fallback_ != nullptr,
-                 "force_degrade needs a fallback propagator");
-  if (cooldown_snapshots > 0) {
-    cooldown_left_ = cooldown_snapshots;
-  } else {
-    degraded_for_good_ = true;
-  }
+                 "degrading a stream needs a fallback propagator");
+  turn_ = cooldown_snapshots > 0 ? Turn::cooldown : Turn::degraded;
+  fallback_len_ = cooldown_snapshots;
 }
 
 void RolloutStream::step() {
-  TURB_CHECK(!done());
-  if (degraded()) {
-    advance_fallback_window();
-  } else {
+  if (primary_due()) {
     accept_primary_window(
         detail::advance_timed(*primary_, history_, next_window()));
+  } else {
+    advance_fallback_window();
   }
 }
 
@@ -154,9 +173,9 @@ RolloutResult RolloutStream::take_result() {
   return std::move(result_);
 }
 
-RolloutResult run_rollout(Propagator& primary, const RolloutRequest& request,
+RolloutResult run_rollout(Propagator& primary, RolloutRequest request,
                           Propagator* fallback) {
-  RolloutStream stream(request, &primary, fallback);
+  RolloutStream stream(std::move(request), &primary, fallback);
   while (!stream.done()) stream.step();
   return stream.take_result();
 }

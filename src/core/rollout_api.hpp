@@ -1,38 +1,65 @@
-// Unified rollout-request API — the single entry point the serving layer,
-// the examples, and the legacy convenience wrappers all drive.
+// Unified rollout-request API — the one rollout state machine behind
+// run_rollout(), the paper's HybridScheduler (core/hybrid.hpp) and every
+// session serve::RolloutServer multiplexes.
 //
-// Historically the repo grew three overlapping ways to roll a trajectory
-// forward: `fno::rollout_*` (tensor-level, engine-backed), `core::run_single`
-// (snapshot-level, unguarded), and hand-driven `FnoPropagator::advance`
-// loops. A serving layer multiplexing thousands of streams needs one
-// request/result vocabulary instead, so:
-//
-//   * RolloutRequest describes a stream: seed history, horizon, guard
-//     configuration, and scheduling hints (window chunk, batch hint).
+//   * RolloutRequest describes a stream: seed history, horizon, window
+//     policy, guard configuration, and scheduling hints (batch hint, tag).
 //   * RolloutStream executes one request incrementally — window by window —
 //     which is exactly the granularity the serving scheduler micro-batches
-//     at. Guard checks, fallback cool-downs, metrics, and history rolling
-//     all live here, so a request produces the same bytes whether it runs
-//     synchronously (run_rollout) or multiplexed through serve::RolloutServer.
-//   * run_rollout() drives a stream to completion synchronously; it is the
-//     implementation behind the deprecated `run_single` wrapper.
+//     at. The FNO↔PDE alternation, guard checks, fallback cool-downs,
+//     metrics, and history rolling all live here, so a request produces the
+//     same bytes whether it runs synchronously (run_rollout) or multiplexed
+//     through serve::RolloutServer.
+//   * run_rollout() drives a stream to completion synchronously.
 //
-// Guard semantics (primary windows only, mirroring HybridScheduler): a
-// tripped window is discarded wholesale and the fallback propagator takes
-// over for `guard.cooldown_snapshots` snapshots — or, when that is 0, for
-// the remainder of the request (the serving degrade-for-good policy: a bad
-// surrogate stream finishes on physics alone).
+// Window policy: the primary propagator produces windows of `window`
+// snapshots. With `fallback_window` > 0 the request alternates (the paper's
+// hybrid, §V): each accepted primary window is followed by a scheduled
+// window of `fallback_window` snapshots from the fallback propagator,
+// recorded under the fallback's plain name ("pde").
+//
+// Guard semantics (primary windows only): a tripped window is discarded
+// wholesale and the fallback takes over for one cool-down window of
+// `guard.cooldown_snapshots` snapshots, after which the primary resumes
+// (skipping the scheduled window, if any). With cooldown_snapshots == 0 the
+// cool-down is one `fallback_window` when the request alternates; when it
+// does not, the stream degrades for good and finishes on the fallback in
+// `window`-sized chunks. Cool-down snapshots are recorded as
+// "<fallback>_fallback" and counted under robust/fallback_*. Every scheduled
+// or cool-down window is one advance() call of its full length (clipped to
+// the horizon): PdePropagator re-seeds from history.back() per call, so
+// splitting a window would change its bits.
 #pragma once
 
 #include <memory>
 #include <string>
 
-#include "core/hybrid.hpp"
 #include "core/metrics.hpp"
 #include "core/propagator.hpp"
 #include "core/rollout_guard.hpp"
 
 namespace turb::core {
+
+struct RolloutResult {
+  std::vector<FieldSnapshot> trajectory;  ///< produced snapshots, in order
+  std::vector<SnapshotMetrics> metrics;   ///< diagnostics per snapshot
+  std::vector<std::string> producer;      ///< which propagator made each one
+  std::vector<GuardEvent> guard_events;   ///< discarded-window trips, in order
+
+  /// Ensemble UQ (serve::RolloutServer with RolloutRequest::ensemble_k > 1):
+  /// how many member rollouts this result reduces over (1 = plain rollout),
+  /// the per-snapshot spread diagnostics (one entry per trajectory snapshot;
+  /// empty for plain rollouts), and — when the request asked to keep them —
+  /// the individual member results (each bitwise identical to a solo rollout
+  /// of that member's perturbed seed).
+  index_t ensemble_members = 1;
+  std::vector<EnsembleSnapshotSpread> spread;
+  std::vector<RolloutResult> member_results;
+
+  [[nodiscard]] index_t guard_trips() const {
+    return static_cast<index_t>(guard_events.size());
+  }
+};
 
 /// One trajectory-extension request. Consumed by run_rollout() and by
 /// serve::RolloutServer::submit().
@@ -41,10 +68,13 @@ struct RolloutRequest {
   index_t steps = 0;      ///< snapshots to produce (>= 1)
   GuardConfig guard;      ///< per-request divergence guard (default off)
   index_t max_history = 64;  ///< rolling-history truncation bound
-  /// Snapshots per scheduling window — the chunk a scheduler advances a
-  /// stream by per turn. 16 matches the legacy run_single chunking, so a
-  /// default request is bitwise identical to the old entry point.
+  /// Snapshots per primary window — the chunk a scheduler advances a stream
+  /// by per turn (and the chunk of a stream degraded for good).
   index_t window = 16;
+  /// Snapshots of the scheduled fallback window after each accepted primary
+  /// window (0 = primary only). Needs a fallback propagator with the
+  /// primary's dt_snap; not combinable with ensemble_k > 1.
+  index_t fallback_window = 0;
   /// Serving hint: how many sibling streams the scheduler may co-batch with
   /// this one (1 = no preference; capped by ServeConfig::batch_window).
   index_t batch_hint = 1;
@@ -67,30 +97,37 @@ struct RolloutRequest {
 };
 
 /// Incremental executor for one request: the scheduler-facing state machine
-/// behind both run_rollout() and the serving layer's sessions. The caller
-/// either lets step() drive the propagators directly, or produces primary
-/// windows externally (micro-batched through a shared engine) and feeds them
-/// to accept_primary_window() — the two paths run the identical metric /
-/// guard / append code, which is what makes concurrent serving bitwise
-/// identical to sequential rollouts.
+/// behind run_rollout(), HybridScheduler and the serving layer's sessions.
+/// The caller either lets step() drive the propagators directly, or
+/// produces primary windows externally (micro-batched through a shared
+/// engine) and feeds them to accept_primary_window() — the two paths run the
+/// identical metric / guard / append code, which is what makes concurrent
+/// serving bitwise identical to sequential rollouts.
 class RolloutStream {
  public:
   /// @param primary   propagator producing normal windows (not owned)
-  /// @param fallback  guard fallback (not owned; may be null iff guard off)
+  /// @param fallback  scheduled / guard fallback (not owned; may be null iff
+  ///                  the guard is off and the request does not alternate)
+  /// The seed is moved into the stream's history; request().seed is empty.
   RolloutStream(RolloutRequest request, Propagator* primary,
                 Propagator* fallback);
 
   [[nodiscard]] bool done() const { return produced_ >= request_.steps; }
-  /// True when the next window must come from the fallback propagator
-  /// (guard cool-down in progress, or the stream degraded for good).
+  /// True when the next window comes from the primary propagator (false when
+  /// done, on a scheduled fallback window, or degraded by the guard).
+  [[nodiscard]] bool primary_due() const {
+    return !done() && turn_ == Turn::primary;
+  }
+  /// True while the guard holds the stream on the fallback (cool-down in
+  /// progress, or degraded for good).
   [[nodiscard]] bool degraded() const {
-    return !done() && (degraded_for_good_ || cooldown_left_ > 0);
+    return !done() && (turn_ == Turn::cooldown || turn_ == Turn::degraded);
   }
   /// Snapshots the next window should produce (0 when done).
   [[nodiscard]] index_t next_window() const;
 
   /// Feed one primary-produced window of exactly next_window() snapshots
-  /// (only valid while !degraded()). Computes metrics, runs the guard, and
+  /// (only valid while primary_due()). Computes metrics, runs the guard, and
   /// either appends the window or discards it and arms the fallback.
   void accept_primary_window(std::vector<FieldSnapshot>&& snaps);
 
@@ -101,14 +138,15 @@ class RolloutStream {
   void accept_primary_window(std::vector<FieldSnapshot>&& snaps,
                              std::vector<SnapshotMetrics>&& metrics);
 
-  /// Produce one window from the fallback propagator (cool-down / degraded).
+  /// Produce the next window from the fallback propagator (scheduled,
+  /// cool-down, or degraded; only valid while !primary_due()).
   void advance_fallback_window();
 
-  /// Externally-decided degradation (serve::EnsembleSession: a group-level
-  /// spread-calibrated guard trips on one member and hands the whole group
-  /// to the fallback). cooldown_snapshots > 0 arms a cool-down; 0 degrades
-  /// for the remainder, mirroring the per-stream guard policy. Requires a
-  /// fallback propagator.
+  /// Hand the stream to the fallback: cooldown_snapshots > 0 arms one
+  /// cool-down window, 0 degrades for the remainder. The guard trip path
+  /// calls this; so does serve::EnsembleSession, whose group-level
+  /// spread-calibrated guard hands every member to the fallback together.
+  /// Requires a fallback propagator.
   void force_degrade(index_t cooldown_snapshots);
 
   /// Advance one window through whichever side is due, driving the
@@ -124,6 +162,8 @@ class RolloutStream {
   [[nodiscard]] RolloutResult take_result();
 
  private:
+  enum class Turn { primary, scheduled, cooldown, degraded };
+
   void append_window(std::vector<FieldSnapshot>&& snaps,
                      std::vector<SnapshotMetrics>&& metrics,
                      const std::string& producer);
@@ -135,16 +175,20 @@ class RolloutStream {
   History history_;
   RolloutResult result_;
   index_t produced_ = 0;
-  index_t cooldown_left_ = 0;
-  bool degraded_for_good_ = false;
+  Turn turn_ = Turn::primary;
+  index_t fallback_len_ = 0;  ///< length of a scheduled / cool-down window
 };
 
-/// Run `request` to completion against `primary`, with `fallback` taking
-/// over after guard trips (required iff request.guard.enabled). The unified
-/// synchronous entry point: `run_single` and the examples route through it,
-/// and serve::RolloutServer produces byte-identical results per stream.
-RolloutResult run_rollout(Propagator& primary, const RolloutRequest& request,
+/// Run `request` to completion against `primary`, with `fallback` producing
+/// the scheduled windows of an alternating request and taking over after
+/// guard trips (required iff either is configured). serve::RolloutServer
+/// produces byte-identical results per stream.
+RolloutResult run_rollout(Propagator& primary, RolloutRequest request,
                           Propagator* fallback = nullptr);
+
+/// True when two propagators agree on the snapshot spacing (to 1e-12
+/// relative) — required of any pair whose windows alternate.
+[[nodiscard]] bool same_dt_snap(const Propagator& a, const Propagator& b);
 
 namespace detail {
 /// Advance with the per-window obs accounting every scheduler shares

@@ -6,10 +6,11 @@
 // handoff: each produced snapshot is scanned for non-finite values and
 // physics violations (kinetic energy / enstrophy outside configurable bands,
 // energy pile-up in the high-wavenumber tail of the spectrum — the aliasing
-// signature of a diverging surrogate). When an FNO window trips, the
-// HybridScheduler discards it and degrades to the PDE propagator for a
-// cool-down, so divergence becomes a detected, recoverable event instead of
-// a silently corrupted trajectory.
+// signature of a diverging surrogate). When an FNO window trips, its
+// RolloutStream (core/rollout_api.hpp — behind run_rollout, the
+// HybridScheduler and every served session) discards it and degrades to
+// the PDE propagator for a cool-down, so divergence becomes a detected,
+// recoverable event instead of a silently corrupted trajectory.
 #pragma once
 
 #include <limits>

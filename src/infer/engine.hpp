@@ -94,9 +94,11 @@ class InferenceEngine {
   /// `y` may be arena slices (window_buffer(), pred_buffer()).
   void forward_raw(const float* x, float* y);
 
-  /// Autoregressive rank-2 rollout, identical to fno::rollout_channels.
-  /// history: (C_in, H, W); out is resized to (steps, H, W) only on shape
-  /// change. Re-plans for batch 1 as needed.
+  /// Autoregressive rank-2 "temporal channels" rollout: the model consumes a
+  /// sliding window of C_in snapshots and emits C_out new ones per step,
+  /// bitwise identical to stepping Fno::forward by hand.
+  /// history: (C_in, H, W), oldest first; out is resized to (steps, H, W)
+  /// only on shape change. Re-plans for batch 1 as needed.
   void rollout_channels_into(const TensorF& history, index_t steps,
                              TensorF& out);
 
@@ -107,8 +109,8 @@ class InferenceEngine {
   void rollout_channels_batched_into(const TensorF& histories, index_t steps,
                                      TensorF& out);
 
-  /// Rank-3 block rollout, identical to fno::rollout_3d. seed: (T, H, W);
-  /// out resized to (blocks·T, H, W).
+  /// Rank-3 block rollout: each forward maps a (T, H, W) block to the next;
+  /// seed: (T, H, W); out resized to (blocks·T, H, W).
   void rollout_3d_into(const TensorF& seed_block, index_t blocks,
                        TensorF& out);
 

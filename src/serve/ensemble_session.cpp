@@ -22,6 +22,7 @@ EnsembleSession::EnsembleSession(core::RolloutRequest base,
     members_.push_back(std::make_unique<core::RolloutStream>(
         core::ensemble_member_request(base_, m), primary, fallback));
   }
+  base_.seed = core::History();  // each member holds its own (perturbed) copy
   obs::counter("serve/ensemble_sessions").add();
   obs::counter("serve/ensemble_members").add(base_.ensemble_k);
 }

@@ -83,7 +83,7 @@ class EnsembleSession {
   [[nodiscard]] core::RolloutResult take_result();
 
  private:
-  core::RolloutRequest base_;
+  core::RolloutRequest base_;  ///< the request, seed released after fan-out
   std::vector<std::unique_ptr<core::RolloutStream>> members_;
   core::RolloutGuard guard_;              ///< group-level, from base_.guard
   core::SpreadCalibrator calibrator_;

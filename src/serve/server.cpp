@@ -43,7 +43,75 @@ RolloutServer::RolloutServer(core::FnoPropagator& primary,
   TURB_CHECK(config_.batch_window >= 1);
 }
 
-Admission RolloutServer::reject_locked(const std::string& reason) {
+namespace {
+
+/// Why `request` cannot run on (primary, fallback), or "" when it can.
+/// Admission validates instead of letting RolloutStream's TURB_CHECK — or a
+/// propagator's, mid-round — fire: bad requests are expected server inputs,
+/// and a rejected stream must not take the process down or leave a round
+/// half advanced.
+std::string request_problem(const core::RolloutRequest& request,
+                            const core::Propagator& primary,
+                            const core::Propagator* fallback, bool solo) {
+  if (request.steps < 1) return "request.steps must be >= 1";
+  if (request.window < 1) return "request.window must be >= 1";
+  if (request.batch_hint < 1) return "request.batch_hint must be >= 1";
+  if (request.seed.empty()) return "empty seed history";
+  if (static_cast<index_t>(request.seed.size()) < primary.min_history()) {
+    return "seed holds " + std::to_string(request.seed.size()) +
+           " snapshots but " + primary.name() + " needs " +
+           std::to_string(primary.min_history());
+  }
+  const Shape& shape = request.seed.front().u1.shape();
+  for (std::size_t k = 0; k < request.seed.size(); ++k) {
+    const core::FieldSnapshot& snap = request.seed[k];
+    if (shape.size() != 2 || snap.u1.shape() != shape ||
+        snap.u2.shape() != shape) {
+      return "seed snapshot " + std::to_string(k) +
+             " differs in shape from snapshot 0's (H, W) u1 (every u1 and "
+             "u2 must share one 2-D grid)";
+    }
+    for (index_t i = 0; i < snap.u1.size(); ++i) {
+      if (!std::isfinite(snap.u1[i]) || !std::isfinite(snap.u2[i])) {
+        return "seed snapshot " + std::to_string(k) +
+               " holds a non-finite velocity";
+      }
+    }
+  }
+  if (request.max_history < primary.min_history()) {
+    return "request.max_history below the primary's window";
+  }
+  if (request.guard.enabled && fallback == nullptr) {
+    return "guarded request without a fallback propagator";
+  }
+  if (request.fallback_window < 0) {
+    return "request.fallback_window must be >= 0";
+  }
+  if (request.fallback_window > 0) {
+    if (fallback == nullptr) {
+      return "alternating request (fallback_window > 0) without a fallback "
+             "propagator";
+    }
+    if (request.ensemble_k > 1) {
+      return "alternating requests (fallback_window > 0) cannot fan out "
+             "into ensembles";
+    }
+    if (!core::same_dt_snap(primary, *fallback)) {
+      return "alternating request: fallback dt_snap " +
+             std::to_string(fallback->dt_snap()) + " differs from " +
+             primary.name() + "'s " + std::to_string(primary.dt_snap());
+    }
+  }
+  if (request.ensemble_k < 1) return "request.ensemble_k must be >= 1";
+  if (request.ensemble_k > 1 && solo) {
+    return "ensemble sessions require the shared server primary "
+           "(submit, not submit_with_propagator)";
+  }
+  if (request.ensemble_eps < 0.0) return "request.ensemble_eps must be >= 0";
+  return {};
+}
+
+Admission reject(const std::string& reason) {
   obs::counter("serve/admission_rejects").add();
   Admission a;
   a.admitted = false;
@@ -51,45 +119,22 @@ Admission RolloutServer::reject_locked(const std::string& reason) {
   return a;
 }
 
-Admission RolloutServer::admit_locked(core::RolloutRequest&& request,
-                                      core::Propagator* primary,
-                                      core::Propagator* fallback, bool solo) {
-  // Admission control validates instead of letting RolloutStream's TURB_CHECK
-  // fire: overload and bad requests are expected server inputs, and a
-  // rejected stream must not take the process down.
+}  // namespace
+
+Admission RolloutServer::admit(core::RolloutRequest&& request,
+                               core::Propagator* primary,
+                               core::Propagator* fallback, bool solo) {
+  // The request is validated before taking the lock: the seed scan must not
+  // stall step() or other submitters.
+  const std::string problem =
+      request_problem(request, *primary, fallback, solo);
+  if (!problem.empty()) return reject(problem);
+
+  std::lock_guard<std::mutex> lock(mu_);
   if (static_cast<index_t>(pending_.size()) >= config_.queue_capacity) {
-    return reject_locked("queue saturated: " +
-                         std::to_string(pending_.size()) + " pending >= cap " +
-                         std::to_string(config_.queue_capacity));
-  }
-  if (request.steps < 1) return reject_locked("request.steps must be >= 1");
-  if (request.window < 1) return reject_locked("request.window must be >= 1");
-  if (request.batch_hint < 1) {
-    return reject_locked("request.batch_hint must be >= 1");
-  }
-  if (request.seed.empty()) return reject_locked("empty seed history");
-  if (static_cast<index_t>(request.seed.size()) < primary->min_history()) {
-    return reject_locked(
-        "seed holds " + std::to_string(request.seed.size()) +
-        " snapshots but " + primary->name() + " needs " +
-        std::to_string(primary->min_history()));
-  }
-  if (request.max_history < primary->min_history()) {
-    return reject_locked("request.max_history below the primary's window");
-  }
-  if (request.guard.enabled && fallback == nullptr) {
-    return reject_locked("guarded request without a fallback propagator");
-  }
-  if (request.ensemble_k < 1) {
-    return reject_locked("request.ensemble_k must be >= 1");
-  }
-  if (request.ensemble_k > 1 && solo) {
-    return reject_locked(
-        "ensemble sessions require the shared server primary "
-        "(submit, not submit_with_propagator)");
-  }
-  if (request.ensemble_eps < 0.0) {
-    return reject_locked("request.ensemble_eps must be >= 0");
+    return reject("queue saturated: " + std::to_string(pending_.size()) +
+                  " pending >= cap " +
+                  std::to_string(config_.queue_capacity));
   }
 
   Session session;
@@ -117,16 +162,13 @@ Admission RolloutServer::admit_locked(core::RolloutRequest&& request,
 }
 
 Admission RolloutServer::submit(core::RolloutRequest request) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return admit_locked(std::move(request), primary_, fallback_,
-                      /*solo=*/false);
+  return admit(std::move(request), primary_, fallback_, /*solo=*/false);
 }
 
 Admission RolloutServer::submit_with_propagator(core::RolloutRequest request,
                                                 core::Propagator& primary,
                                                 core::Propagator* fallback) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return admit_locked(std::move(request), &primary, fallback, /*solo=*/true);
+  return admit(std::move(request), &primary, fallback, /*solo=*/true);
 }
 
 bool RolloutServer::step() {
@@ -141,12 +183,14 @@ bool RolloutServer::step() {
     active_.push_back(id);
   }
 
-  // Partition the active set: ready server-primary streams micro-batch per
-  // grid bucket; solo and degraded streams advance one window on their own
-  // propagators. An ensemble session contributes each member stream as an
-  // ordinary batchable entry (windows staged with the group instead of
-  // accepted directly); a degraded group sends every member down the alone
-  // path together. Admission order is preserved everywhere, so the schedule
+  // Partition the active set: server-primary streams whose primary window is
+  // due micro-batch per grid bucket; solo streams, and streams due a
+  // fallback window (a hybrid's scheduled PDE window, a guard cool-down, or
+  // degraded for good), advance one window on their own propagators. An
+  // ensemble session contributes each member stream as an ordinary
+  // batchable entry (windows staged with the group instead of accepted
+  // directly); a degraded group sends every member down the alone path
+  // together. Admission order is preserved everywhere, so the schedule
   // — and the engine-pool bucket sequence — is deterministic.
   struct ReadyEntry {
     core::RolloutStream* stream;
@@ -177,7 +221,7 @@ bool RolloutServer::step() {
     }
     core::RolloutStream* stream = session.stream.get();
     if (stream->done()) continue;
-    if (session.solo || stream->degraded()) {
+    if (session.solo || !stream->primary_due()) {
       alone.push_back(stream);
       continue;
     }

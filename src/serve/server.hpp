@@ -21,9 +21,14 @@
 //     bitwise identical to N sequential run_rollout calls (tests enforce
 //     this at pool widths 1 and 4).
 //   * Degradation — each stream owns its RolloutGuard; a tripped session
-//     leaves the micro-batch and finishes on the fallback propagator
-//     (PDE physics) alone while its former batchmates keep batching,
-//     unperturbed.
+//     leaves the micro-batch and runs its cool-down (or the rest of its
+//     horizon) on the fallback propagator (PDE physics) alone while its
+//     former batchmates keep batching, unperturbed.
+//   * Hybrid sessions — a request with fallback_window > 0 (the paper's
+//     FNO↔PDE alternation, e.g. HybridScheduler::request) micro-batches its
+//     FNO windows with every other ready stream and runs its scheduled PDE
+//     windows down the same alone path, so a served hybrid is bitwise
+//     identical to HybridScheduler::run.
 //   * Ensemble UQ — a request with ensemble_k = K >= 2 fans into K member
 //     streams (ensemble_session.hpp) that ride the same micro-batch path;
 //     their windows are staged and judged together per round (optionally
@@ -96,7 +101,7 @@ struct SessionSnapshot {
   SessionState state = SessionState::queued;
   index_t produced = 0;          ///< snapshots appended so far
   index_t steps = 0;             ///< requested horizon
-  bool degraded = false;         ///< currently on the fallback propagator
+  bool degraded = false;         ///< guard holds it on the fallback
   index_t guard_trips = 0;
   index_t ensemble_members = 1;  ///< 1 = plain session, K >= 2 = ensemble
   double latency_seconds = 0.0;  ///< admission → completion (0 until done)
@@ -106,8 +111,9 @@ class RolloutServer {
  public:
   /// @param primary  FNO propagator whose model backs the engine pool and
   ///                 whose marshalling drives every micro-batch (not owned)
-  /// @param fallback guard fallback shared by server-primary sessions (not
-  ///                 owned; may be null — then guarded submits are rejected).
+  /// @param fallback guard / alternation fallback shared by server-primary
+  ///                 sessions (not owned; may be null — then guarded and
+  ///                 alternating submits are rejected).
   ///                 Its advance() re-seeds from each stream's own history,
   ///                 so one instance serves every degraded stream.
   RolloutServer(core::FnoPropagator& primary, core::Propagator* fallback,
@@ -117,7 +123,8 @@ class RolloutServer {
   RolloutServer& operator=(const RolloutServer&) = delete;
 
   /// Admit a session for the shared FNO primary (micro-batched). Rejects —
-  /// never throws — on a saturated queue or an invalid request, bumping
+  /// never throws — on a saturated queue or an invalid request (including a
+  /// seed with mixed shapes or non-finite values), bumping
   /// serve/admission_rejects and explaining why in Admission::reason.
   /// A request with ensemble_k = K >= 2 fans out into K member streams
   /// (ensemble_session.hpp) co-batched like K sessions and reduced into one
@@ -183,10 +190,8 @@ class RolloutServer {
     }
   };
 
-  Admission admit_locked(core::RolloutRequest&& request,
-                         core::Propagator* primary,
-                         core::Propagator* fallback, bool solo);
-  Admission reject_locked(const std::string& reason);
+  Admission admit(core::RolloutRequest&& request, core::Propagator* primary,
+                  core::Propagator* fallback, bool solo);
   void update_gauges_locked();
   [[nodiscard]] SessionSnapshot snapshot_locked(const Session& s) const;
 

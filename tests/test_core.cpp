@@ -11,9 +11,11 @@
 #include "core/hybrid.hpp"
 #include "core/metrics.hpp"
 #include "core/pde_propagator.hpp"
+#include "core/rollout_api.hpp"
 #include "core/rollout_guard.hpp"
 #include "lbm/initializer.hpp"
 #include "ns/spectral_ops.hpp"
+#include "obs/obs.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -447,24 +449,237 @@ TEST(Hybrid, PurePdeConfiguration) {
   HybridConfig cfg;
   cfg.fno_snapshots = 0;
   cfg.pde_snapshots = 4;
-  cfg.start_with_fno = false;
   HybridScheduler scheduler(fno_prop, pde_prop, cfg);
   const RolloutResult result = scheduler.run(make_seed_history(4, 79), 6);
   for (const auto& p : result.producer) EXPECT_EQ(p, "pde");
 }
 
-TEST(Hybrid, RunSingleMatchesPropagatorDirectly) {
+// --- HybridScheduler vs the reference alternation loop ---------------------
+
+/// Reference copy of the hybrid's former private loop, kept as the oracle
+/// for HybridScheduler now that the alternation runs inside RolloutStream:
+/// windows of fno / pde snapshots, guarded FNO windows discarded wholesale
+/// and replaced by one PDE cool-down of cooldown_snapshots (pde_snapshots
+/// when 0), after which the FNO resumes.
+RolloutResult reference_hybrid_run(Propagator& fno, Propagator& pde,
+                                   const HybridConfig& config,
+                                   const History& seed, index_t total) {
+  RolloutGuard guard(config.guard);
+  History history = seed;
+  RolloutResult result;
+  const auto append = [&](std::vector<FieldSnapshot>&& produced,
+                          std::vector<SnapshotMetrics>&& metrics,
+                          const std::string& name) {
+    for (std::size_t i = 0; i < produced.size(); ++i) {
+      result.metrics.push_back(metrics[i]);
+      result.producer.push_back(name);
+      history.push_back(produced[i]);
+      result.trajectory.push_back(std::move(produced[i]));
+      while (history.size() > 64) history.pop_front();
+    }
+  };
+  bool fno_turn = config.fno_snapshots > 0;
+  index_t produced = 0;
+  while (produced < total) {
+    Propagator* active = fno_turn ? &fno : &pde;
+    const index_t window =
+        fno_turn ? config.fno_snapshots : config.pde_snapshots;
+    const index_t count = std::min(window, total - produced);
+    std::vector<FieldSnapshot> snaps =
+        detail::advance_timed(*active, history, count);
+    std::vector<SnapshotMetrics> metrics = compute_metrics(snaps);
+    if (fno_turn && config.guard.enabled) {
+      GuardTrip trip = GuardTrip::none;
+      double value = 0.0;
+      std::size_t bad = 0;
+      for (std::size_t i = 0; i < snaps.size(); ++i) {
+        trip = guard.check(snaps[i], metrics[i], &value);
+        if (trip != GuardTrip::none) {
+          bad = i;
+          break;
+        }
+      }
+      if (trip != GuardTrip::none) {
+        obs::counter("robust/guard_trips").add();
+        result.guard_events.push_back(
+            {static_cast<index_t>(result.trajectory.size()), snaps[bad].t,
+             trip, value});
+        const index_t cooldown = config.guard.cooldown_snapshots > 0
+                                     ? config.guard.cooldown_snapshots
+                                     : config.pde_snapshots;
+        const index_t fb_count = std::min(cooldown, total - produced);
+        std::vector<FieldSnapshot> fb =
+            detail::advance_timed(pde, history, fb_count);
+        std::vector<SnapshotMetrics> fb_metrics = compute_metrics(fb);
+        append(std::move(fb), std::move(fb_metrics),
+               pde.name() + "_fallback");
+        obs::counter("robust/fallback_windows").add();
+        obs::counter("robust/fallback_snapshots").add(fb_count);
+        produced += fb_count;
+        fno_turn = true;
+        continue;
+      }
+    }
+    append(std::move(snaps), std::move(metrics), active->name());
+    produced += count;
+    if (config.fno_snapshots > 0 && config.pde_snapshots > 0) {
+      fno_turn = !fno_turn;
+    }
+  }
+  return result;
+}
+
+/// Passes the wrapped propagator through, except that its produced
+/// snapshots number [first_bad, end_bad) get a NaN: the FNO's first windows
+/// trip the guard, later ones are accepted again.
+class FlakyPropagator final : public Propagator {
+ public:
+  FlakyPropagator(Propagator& inner, index_t first_bad, index_t end_bad)
+      : inner_(&inner), first_bad_(first_bad), end_bad_(end_bad) {}
+  std::vector<FieldSnapshot> advance(const History& history,
+                                     index_t count) override {
+    std::vector<FieldSnapshot> out = inner_->advance(history, count);
+    for (FieldSnapshot& snap : out) {
+      if (produced_ >= first_bad_ && produced_ < end_bad_) {
+        snap.u1[0] = std::numeric_limits<double>::quiet_NaN();
+      }
+      ++produced_;
+    }
+    return out;
+  }
+  [[nodiscard]] double dt_snap() const override { return inner_->dt_snap(); }
+  [[nodiscard]] index_t min_history() const override {
+    return inner_->min_history();
+  }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+
+ private:
+  Propagator* inner_;
+  index_t first_bad_;
+  index_t end_bad_;
+  index_t produced_ = 0;
+};
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Counter deltas (and per-window span counts) a hybrid run leaves behind.
+std::vector<std::int64_t> hybrid_counts() {
+  std::vector<std::int64_t> out;
+  for (const char* name :
+       {"hybrid/fno_snapshots", "hybrid/pde_snapshots", "robust/guard_trips",
+        "robust/fallback_windows", "robust/fallback_snapshots"}) {
+    out.push_back(obs::counter(name).value());
+  }
+  for (const char* name : {"hybrid/fno_window", "hybrid/pde_window"}) {
+    out.push_back(obs::timer(name).count());
+  }
+  return out;
+}
+
+std::vector<std::int64_t> minus(std::vector<std::int64_t> after,
+                                const std::vector<std::int64_t>& before) {
+  for (std::size_t i = 0; i < after.size(); ++i) after[i] -= before[i];
+  return after;
+}
+
+void expect_same_result(const RolloutResult& want, const RolloutResult& got) {
+  ASSERT_EQ(want.trajectory.size(), got.trajectory.size());
+  ASSERT_EQ(want.metrics.size(), got.metrics.size());
+  EXPECT_EQ(want.producer, got.producer);
+  for (std::size_t k = 0; k < want.trajectory.size(); ++k) {
+    const FieldSnapshot& a = want.trajectory[k];
+    const FieldSnapshot& b = got.trajectory[k];
+    ASSERT_TRUE(same_bits(a.t, b.t)) << "snapshot " << k;
+    ASSERT_EQ(a.u1.shape(), b.u1.shape());
+    ASSERT_EQ(0, std::memcmp(a.u1.data(), b.u1.data(),
+                             a.u1.size() * sizeof(double)))
+        << "snapshot " << k << " u1";
+    ASSERT_EQ(0, std::memcmp(a.u2.data(), b.u2.data(),
+                             a.u2.size() * sizeof(double)))
+        << "snapshot " << k << " u2";
+    const SnapshotMetrics& ma = want.metrics[k];
+    const SnapshotMetrics& mb = got.metrics[k];
+    EXPECT_TRUE(same_bits(ma.t, mb.t) &&
+                same_bits(ma.kinetic_energy, mb.kinetic_energy) &&
+                same_bits(ma.enstrophy, mb.enstrophy) &&
+                same_bits(ma.divergence_linf, mb.divergence_linf) &&
+                same_bits(ma.divergence_l2, mb.divergence_l2))
+        << "metrics of snapshot " << k;
+  }
+  ASSERT_EQ(want.guard_events.size(), got.guard_events.size());
+  for (std::size_t e = 0; e < want.guard_events.size(); ++e) {
+    const GuardEvent& a = want.guard_events[e];
+    const GuardEvent& b = got.guard_events[e];
+    EXPECT_EQ(a.trajectory_index, b.trajectory_index) << "event " << e;
+    EXPECT_TRUE(same_bits(a.t, b.t)) << "event " << e;
+    EXPECT_EQ(a.reason, b.reason) << "event " << e;
+    EXPECT_TRUE(same_bits(a.value, b.value)) << "event " << e;
+  }
+}
+
+TEST(Hybrid, StreamMatchesReferenceLoopAcrossWindowsHorizonsAndGuards) {
+  Rng rng(101);
+  fno::Fno model(tiny_fno_config(), rng);
+  FnoPropagator fno_prop(model, analysis::Normalizer(0.0, 1.0), kDtSnap);
   PdePropagator pde_prop(make_solver(), kDtSnap);
-  History seed;
-  seed.push_back(make_seed_snapshot(0.0, 83));
-  // Pins the deprecated shim's behavior until it is removed.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const RolloutResult result = run_single(pde_prop, seed, 5);
-#pragma GCC diagnostic pop
-  ASSERT_EQ(result.trajectory.size(), 5u);
-  ASSERT_EQ(result.metrics.size(), 5u);
-  EXPECT_EQ(result.producer.front(), "pde");
+  const History seed = make_seed_history(4, 103);
+
+  enum class Guard { off, untripped, cooldown0, cooldown3, cooldown_long };
+  const std::vector<std::pair<index_t, index_t>> windows = {
+      {5, 5}, {2, 3}, {4, 0}, {0, 4}};
+  for (const auto& [fno_snaps, pde_snaps] : windows) {
+    for (const index_t horizon : std::initializer_list<index_t>{7, 13, 22}) {
+      for (const Guard mode : {Guard::off, Guard::untripped, Guard::cooldown0,
+                               Guard::cooldown3, Guard::cooldown_long}) {
+        SCOPED_TRACE("windows " + std::to_string(fno_snaps) + "/" +
+                     std::to_string(pde_snaps) + ", horizon " +
+                     std::to_string(horizon) + ", guard mode " +
+                     std::to_string(static_cast<int>(mode)));
+        HybridConfig cfg;
+        cfg.fno_snapshots = fno_snaps;
+        cfg.pde_snapshots = pde_snaps;
+        cfg.guard.enabled = mode != Guard::off;
+        // Tripping modes run a surrogate whose snapshots 3..7 are NaN: the
+        // first windows trip, later windows are accepted again.
+        const bool trips = mode != Guard::off && mode != Guard::untripped;
+        cfg.guard.cooldown_snapshots =
+            mode == Guard::cooldown3       ? 3
+            : mode == Guard::cooldown_long ? fno_snaps + 3
+                                           : 0;
+        if (cfg.guard.enabled && pde_snaps == 0 &&
+            cfg.guard.cooldown_snapshots == 0) {
+          EXPECT_THROW(HybridScheduler(fno_prop, pde_prop, cfg), CheckError);
+          continue;
+        }
+
+        FlakyPropagator want_fno(fno_prop, trips ? 3 : 0, trips ? 8 : 0);
+        const std::vector<std::int64_t> before_want = hybrid_counts();
+        const RolloutResult want =
+            reference_hybrid_run(want_fno, pde_prop, cfg, seed, horizon);
+        const std::vector<std::int64_t> want_counts =
+            minus(hybrid_counts(), before_want);
+
+        FlakyPropagator got_fno(fno_prop, trips ? 3 : 0, trips ? 8 : 0);
+        HybridScheduler scheduler(got_fno, pde_prop, cfg);
+        const std::vector<std::int64_t> before_got = hybrid_counts();
+        const RolloutResult got = scheduler.run(seed, horizon);
+        const std::vector<std::int64_t> got_counts =
+            minus(hybrid_counts(), before_got);
+
+        ASSERT_EQ(got.trajectory.size(), static_cast<std::size_t>(horizon));
+        expect_same_result(want, got);
+        EXPECT_EQ(want_counts, got_counts);
+        if (trips && fno_snaps > 0) {
+          EXPECT_GE(got.guard_trips(), 1);
+        }
+        if (mode == Guard::untripped) {
+          EXPECT_EQ(got.guard_trips(), 0);
+        }
+      }
+    }
+  }
 }
 
 TEST(Hybrid, MismatchedSnapshotSpacingRejected) {

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "fno/fno.hpp"
-#include "fno/rollout.hpp"
 #include "fno/trainer.hpp"
+#include "infer/engine.hpp"
 #include "nn/dataloader.hpp"
 #include "nn/gradcheck.hpp"
 #include "nn/loss.hpp"
@@ -241,10 +241,16 @@ TEST(Trainer, EvaluateMatchesManualError) {
 
 // --- rollout -------------------------------------------------------------------
 
-// These tests deliberately pin the deprecated tensor-level rollout helpers
-// (the engine _into methods they wrap are covered by tests/test_infer.cpp).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+// Shape, ordering and determinism of the engine's tensor-level rollout
+// drivers (their bitwise equality with hand-stepped Fno::forward is
+// covered by tests/test_infer.cpp).
+
+TensorF rollout_channels(Fno& model, const TensorF& history, index_t steps) {
+  infer::InferenceEngine engine(model);
+  TensorF out;
+  engine.rollout_channels_into(history, steps, out);
+  return out;
+}
 
 TEST(Rollout, ChannelsShapeAndWindowSlide) {
   Rng rng(17);
@@ -302,7 +308,9 @@ TEST(Rollout, ThreeDBlocks) {
   Fno model(cfg, rng);
   TensorF seed({6, 8, 8});
   seed.fill_normal(rng, 0.0, 1.0);
-  const TensorF traj = rollout_3d(model, seed, 3);
+  infer::InferenceEngine engine(model);
+  TensorF traj;
+  engine.rollout_3d_into(seed, 3, traj);
   EXPECT_EQ(traj.shape(), (Shape{18, 8, 8}));
 }
 
@@ -315,8 +323,6 @@ TEST(Rollout, DeterministicGivenSameSeed) {
   const TensorF b = rollout_channels(model, history, 4);
   for (index_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]);
 }
-
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace turb::fno

@@ -25,7 +25,6 @@
 #include "analysis/stats.hpp"
 #include "core/fno_propagator.hpp"
 #include "fno/fno.hpp"
-#include "fno/rollout.hpp"
 #include "infer/arena.hpp"
 #include "infer/engine.hpp"
 #include "nn/spectral_conv.hpp"
@@ -539,10 +538,16 @@ TEST(InferPrecision, SpectralWeightBytesHalved) {
 
 // --- Rollout equality -------------------------------------------------------
 
-// These tests pin the deprecated fno::rollout_* convenience wrappers against
-// the hand-stepped reference — they must keep matching until removal.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+// The engine's tensor-level rollout drivers against the hand-stepped
+// reference.
+
+TensorF engine_rollout_channels(fno::Fno& model, const TensorF& history,
+                                index_t steps) {
+  infer::InferenceEngine engine(model);
+  TensorF out;
+  engine.rollout_channels_into(history, steps, out);
+  return out;
+}
 
 TEST(InferEngine, RolloutChannelsMatchesReference) {
   for (const bool wide : {false, true}) {
@@ -552,7 +557,7 @@ TEST(InferEngine, RolloutChannelsMatchesReference) {
     const TensorF history =
         random_tensor({cfg.in_channels, 16, 16}, 32);
     const TensorF ref = ref_rollout_channels(model, history, 7);
-    const TensorF got = fno::rollout_channels(model, history, 7);
+    const TensorF got = engine_rollout_channels(model, history, 7);
     expect_bitwise_equal(ref, got, wide ? "rollout wide" : "rollout narrow");
   }
 }
@@ -565,7 +570,7 @@ TEST(InferEngine, RolloutChannelsThreadInvariant) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{4}}) {
     ThreadPool::Scope scope(threads);
-    const TensorF got = fno::rollout_channels(model, history, 5);
+    const TensorF got = engine_rollout_channels(model, history, 5);
     if (base.empty()) {
       base = got;
     } else {
@@ -579,7 +584,9 @@ TEST(InferEngine, Rollout3dMatchesReference) {
   fno::Fno model(cfg3d(), rng);
   const TensorF seed = random_tensor({10, 8, 8}, 42);
   const TensorF ref = ref_rollout_3d(model, seed, 3);
-  const TensorF got = fno::rollout_3d(model, seed, 3);
+  infer::InferenceEngine engine(model);
+  TensorF got;
+  engine.rollout_3d_into(seed, 3, got);
   // The window slide feeds each step's last-bit drift back into the next
   // input, so a slightly wider bound than the single-forward case.
   if (!expect_close_report_bitwise(ref, got, "rollout_3d", 5e-3f)) {
@@ -593,22 +600,20 @@ TEST(InferEngine, BatchedRolloutMatchesSingle) {
   infer::InferenceEngine engine(model);
   const index_t trajectories = 3;
   const TensorF histories = random_tensor({trajectories, 3, 16, 16}, 52);
-  const TensorF batched =
-      fno::rollout_channels_batched(engine, histories, 6);
+  TensorF batched;
+  engine.rollout_channels_batched_into(histories, 6, batched);
   ASSERT_EQ(batched.shape(), (Shape{trajectories, 6, 16, 16}));
   const index_t frame = 16 * 16;
   for (index_t b = 0; b < trajectories; ++b) {
     TensorF hist({3, 16, 16});
     std::copy_n(histories.data() + b * 3 * frame, 3 * frame, hist.data());
-    const TensorF single = fno::rollout_channels(model, hist, 6);
+    const TensorF single = engine_rollout_channels(model, hist, 6);
     ASSERT_EQ(0, std::memcmp(single.data(), batched.data() + b * 6 * frame,
                              static_cast<std::size_t>(6 * frame) *
                                  sizeof(float)))
         << "trajectory " << b;
   }
 }
-
-#pragma GCC diagnostic pop
 
 // --- FnoPropagator ----------------------------------------------------------
 

@@ -3,7 +3,7 @@
 //
 // The load-bearing contract is bitwise reproducibility: N sessions
 // multiplexed through serve::RolloutServer must produce exactly the bytes N
-// sequential core::run_single calls produce, at thread-pool widths 1 and 4,
+// sequential core::run_rollout calls produce, at thread-pool widths 1 and 4,
 // and a session tripping its guard must not perturb its batchmates by a
 // single bit.
 #include <gtest/gtest.h>
@@ -114,8 +114,9 @@ TEST(RolloutApi, RunRolloutMatchesLegacyWindowedLoop) {
   const core::History seed = make_seed_history(4, 11);
   const index_t steps = 20;  // spans two window-16 chunks
 
-  // Replica of the historical run_single loop: advance in chunks of 16 with
-  // max_history 64 — the unified API's defaults must reproduce it exactly.
+  // Replica of the historical single-propagator loop: advance in chunks of
+  // 16 with max_history 64 — the unified API's defaults must reproduce it
+  // exactly.
   core::History history = seed;
   core::RolloutResult legacy;
   index_t produced = 0;
@@ -136,13 +137,6 @@ TEST(RolloutApi, RunRolloutMatchesLegacyWindowedLoop) {
   request.steps = steps;
   const core::RolloutResult unified = core::run_rollout(fno_prop, request);
   expect_bitwise_equal(legacy, unified);
-
-  // This test pins the deprecated shim's bytes until it is removed.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const core::RolloutResult shim = core::run_single(fno_prop, seed, steps);
-#pragma GCC diagnostic pop
-  expect_bitwise_equal(legacy, shim);
 }
 
 TEST(RolloutApi, GuardedRequestNeedsFallback) {
@@ -391,6 +385,172 @@ TEST_F(ServeFixture, InvalidRequestsRejectWithReasonInsteadOfThrowing) {
   core::RolloutRequest guarded = request_for(405, 4);
   guarded.guard.enabled = true;
   EXPECT_FALSE(no_fallback.submit(std::move(guarded)).admitted);
+}
+
+// --- admission validation: a rejected request leaves the round untouched ---
+
+class AdmissionFixture : public ServeFixture {
+ protected:
+  /// Submits two plain sessions, then `submit_bad` (which must be rejected
+  /// with a reason containing `why`), drains, and checks the plain sessions
+  /// finish bitwise equal to sequential rollouts.
+  template <class SubmitBad>
+  void expect_rejected_alone(serve::RolloutServer& server,
+                             SubmitBad submit_bad, const std::string& why) {
+    const index_t steps = 20;
+    const std::vector<std::uint64_t> seeds = {431, 433};
+    std::vector<serve::SessionId> ids;
+    for (const std::uint64_t seed : seeds) {
+      const serve::Admission a = server.submit(request_for(seed, steps));
+      ASSERT_TRUE(a.admitted) << a.reason;
+      ids.push_back(a.id);
+    }
+    const std::int64_t rejects_before =
+        obs::counter("serve/admission_rejects").value();
+    const serve::Admission bad = submit_bad(server);
+    EXPECT_FALSE(bad.admitted);
+    EXPECT_NE(bad.reason.find(why), std::string::npos) << bad.reason;
+    EXPECT_EQ(obs::counter("serve/admission_rejects").value(),
+              rejects_before + 1);
+    server.drain();
+    for (std::size_t i = 0; i < seeds.size(); ++i) {
+      expect_bitwise_equal(
+          core::run_rollout(fno_prop_, request_for(seeds[i], steps)),
+          server.take(ids[i]));
+    }
+    EXPECT_TRUE(server.finished().empty());
+  }
+};
+
+TEST_F(AdmissionFixture, MixedShapeSeedRejected) {
+  serve::RolloutServer server(fno_prop_, &pde_prop_, serve::ServeConfig{});
+  expect_rejected_alone(
+      server,
+      [this](serve::RolloutServer& s) {
+        core::RolloutRequest bad = request_for(437, 8);
+        bad.seed[2].u1 = TensorD({kGrid / 2, kGrid / 2});
+        bad.seed[2].u2 = TensorD({kGrid / 2, kGrid / 2});
+        return s.submit(std::move(bad));
+      },
+      "shape");
+  expect_rejected_alone(
+      server,
+      [this](serve::RolloutServer& s) {
+        core::RolloutRequest bad = request_for(439, 8);
+        bad.seed[1].u2 = TensorD({kGrid, kGrid / 2});  // u1/u2 disagree
+        return s.submit(std::move(bad));
+      },
+      "shape");
+}
+
+TEST_F(AdmissionFixture, NonFiniteSeedRejected) {
+  serve::RolloutServer server(fno_prop_, &pde_prop_, serve::ServeConfig{});
+  expect_rejected_alone(
+      server,
+      [this](serve::RolloutServer& s) {
+        core::RolloutRequest bad = request_for(443, 8);
+        bad.seed[3].u2[17] = std::numeric_limits<double>::infinity();
+        return s.submit(std::move(bad));
+      },
+      "non-finite");
+}
+
+TEST_F(AdmissionFixture, AlternatingRequestWithoutFallbackRejected) {
+  serve::RolloutServer server(fno_prop_, nullptr, serve::ServeConfig{});
+  expect_rejected_alone(
+      server,
+      [this](serve::RolloutServer& s) {
+        core::RolloutRequest bad = request_for(449, 8);
+        bad.window = 5;
+        bad.fallback_window = 5;
+        return s.submit(std::move(bad));
+      },
+      "fallback propagator");
+}
+
+TEST_F(AdmissionFixture, AlternatingEnsembleRequestRejected) {
+  serve::RolloutServer server(fno_prop_, &pde_prop_, serve::ServeConfig{});
+  expect_rejected_alone(
+      server,
+      [this](serve::RolloutServer& s) {
+        core::RolloutRequest bad = request_for(457, 8);
+        bad.fallback_window = 5;
+        bad.ensemble_k = 2;
+        return s.submit(std::move(bad));
+      },
+      "ensemble");
+}
+
+TEST_F(AdmissionFixture, AlternatingRequestWithMismatchedFallbackDtRejected) {
+  serve::RolloutServer server(fno_prop_, &pde_prop_, serve::ServeConfig{});
+  core::PdePropagator coarse_pde(make_solver(), 2.0 * kDtSnap);
+  expect_rejected_alone(
+      server,
+      [this, &coarse_pde](serve::RolloutServer& s) {
+        core::RolloutRequest bad = request_for(461, 8);
+        bad.fallback_window = 5;
+        return s.submit_with_propagator(std::move(bad), fno_prop_,
+                                        &coarse_pde);
+      },
+      "dt_snap");
+}
+
+// --- hybrid sessions --------------------------------------------------------
+
+TEST_F(ServeFixture, HybridSessionBitwiseMatchesSchedulerBesidePlainSessions) {
+  // The paper's 5/5 FNO↔PDE alternation served next to plain FNO sessions:
+  // its FNO windows ride the micro-batches, its PDE windows the alone path,
+  // and neither it nor its batchmates move a bit.
+  const std::vector<std::uint64_t> seeds = {701, 709, 719};
+  const index_t steps = 20;
+  const index_t hybrid_steps = 23;  // not a multiple of the 10-snapshot cycle
+  core::HybridConfig hybrid_cfg;
+  hybrid_cfg.fno_snapshots = 5;
+  hybrid_cfg.pde_snapshots = 5;
+  core::HybridScheduler scheduler(fno_prop_, pde_prop_, hybrid_cfg);
+  const core::History hybrid_seed = make_seed_history(4, 727);
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool::Scope scope(threads);
+    const core::RolloutResult want = scheduler.run(hybrid_seed, hybrid_steps);
+    std::vector<core::RolloutResult> sequential;
+    for (const std::uint64_t seed : seeds) {
+      sequential.push_back(
+          core::run_rollout(fno_prop_, request_for(seed, steps)));
+    }
+
+    serve::ServeConfig cfg;
+    cfg.batch_window = 4;
+    serve::RolloutServer server(fno_prop_, &pde_prop_, cfg);
+    std::vector<serve::SessionId> ids;
+    for (std::size_t i = 0; i < seeds.size(); ++i) {
+      if (i == 1) {
+        const serve::Admission hybrid =
+            server.submit(scheduler.request(hybrid_seed, hybrid_steps));
+        ASSERT_TRUE(hybrid.admitted) << hybrid.reason;
+        ids.push_back(hybrid.id);
+      }
+      const serve::Admission a = server.submit(request_for(seeds[i], steps));
+      ASSERT_TRUE(a.admitted) << a.reason;
+      ids.push_back(a.id);
+    }
+    const std::int64_t pde_before =
+        obs::counter("hybrid/pde_snapshots").value();
+    server.drain();
+    // The hybrid's FNO windows shared the first round's micro-batch.
+    EXPECT_GT(server.mean_batch_occupancy(), 1.0);
+    EXPECT_EQ(obs::counter("hybrid/pde_snapshots").value() - pde_before, 10);
+
+    const core::RolloutResult served = server.take(ids[1]);
+    ASSERT_EQ(served.producer.size(), static_cast<std::size_t>(hybrid_steps));
+    for (std::size_t k = 0; k < served.producer.size(); ++k) {
+      EXPECT_EQ(served.producer[k], (k / 5) % 2 == 0 ? "fno" : "pde") << k;
+    }
+    expect_bitwise_equal(want, served);
+    for (std::size_t i = 0; i < seeds.size(); ++i) {
+      expect_bitwise_equal(sequential[i], server.take(ids[i == 0 ? 0 : i + 1]));
+    }
+  }
 }
 
 TEST_F(ServeFixture, EnginePoolReusesBucketsAndStaysAllocationFree) {
