@@ -6,10 +6,10 @@
 // the same weights and input (bitwise-identical outputs, see
 // tests/test_infer.cpp), the autoregressive rollout cost per produced
 // snapshot, and batched multi-trajectory throughput. Variant rows cover the
-// factorized (F-FNO) parameterisation and the bf16/fp16 compressed-weight
-// engines at modes 12 and 20 — each reduced-precision row records its
-// relative L2 against the fp32 engine and the compressed spectral working
-// set next to the timing. Per-ISA rows time the GELU row kernel of the MLP
+// factorized (F-FNO) parameterisation (served through the same dense pack)
+// and the bf16 compressed-weight engine at modes 12 and 20 — each bf16 row
+// records its relative L2 against the fp32 engine and the compressed
+// spectral working set next to the timing. Per-ISA rows time the GELU row kernel of the MLP
 // epilogues in ns per element. Two physics-side rows time one spectral NS
 // step at 64² and the snapshot diagnostics per snapshot of a 32² window —
 // the PDE and diagnostics halves of a hybrid rollout. The engine's
@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "core/metrics.hpp"
-#include "fft/plan.hpp"
 #include "fno/fno.hpp"
 #include "infer/engine.hpp"
 #include "json_out.hpp"
@@ -214,18 +213,6 @@ int main(int argc, char** argv) {
                              util::isa_name(isa),
                          t});
       isa_ns[static_cast<int>(isa)] = t;
-      // Same engine with line batching forced off: the per-line FFT path
-      // the batched execution replaced, so the batching win is recorded
-      // per ISA in the trajectory.
-      fft::ScopedLineBatching perline(false);
-      const double tp = time_ns([&] { eng.forward_raw(x.data(), yy.data()); });
-      results.push_back({std::string("infer/engine_forward_n64_") +
-                             util::isa_name(isa) + "_perline",
-                         tp});
-      isa_speedups.emplace_back(
-          std::string("engine_forward_batched_vs_perline_") +
-              util::isa_name(isa),
-          tp / t);
     }
     if (isas.size() == 2) {
       isa_speedups.emplace_back("engine_forward_avx2_vs_scalar",
@@ -290,13 +277,12 @@ int main(int argc, char** argv) {
   }
 
   // 6. Parameterisation × precision variants: the factorized (F-FNO) layer
-  //    and the bf16/fp16 compressed-weight engines, at the paper's 12 modes
-  //    and at 20 modes where both the factorization and the compression pay
-  //    off harder. Each variant plans a fresh engine on its own model (same
+  //    (served through the dense pack, so its rows track the dense ones)
+  //    and the bf16 compressed-weight engine, at the paper's 12 modes and at
+  //    20 modes. Each variant plans a fresh engine on its own model (same
   //    rng seed per modes count, so dense/fact differ only in weight
-  //    parameterisation); reduced-precision rows record relative L2 against
-  //    the fp32 engine of the same model and the compressed spectral
-  //    working set.
+  //    parameterisation); bf16 rows record relative L2 against the fp32
+  //    engine of the same model and the compressed spectral working set.
   struct Variant {
     std::string name;
     double ns = 0.0;
@@ -321,8 +307,7 @@ int main(int argc, char** argv) {
         fno::Fno vmodel(vc, vrng);
         TensorF ref;  // fp32 output of this model
         for (const util::Precision prec :
-             {util::Precision::kFp32, util::Precision::kBf16,
-              util::Precision::kFp16}) {
+             {util::Precision::kFp32, util::Precision::kBf16}) {
           infer::InferenceEngine eng(vmodel, {prec});
           eng.plan({1, vc.in_channels, grid, grid});
           TensorF yy;

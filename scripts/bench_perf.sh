@@ -16,9 +16,9 @@
 # interleaved batches and produce bitwise-identical outputs — plus rollout
 # and batched-rollout cost per snapshot, and records the engine's
 # zero-steady-state-allocation counters and arena footprint. A variant
-# matrix ({dense, factorized} × {fp32, bf16, fp16} at 12 and 20 modes)
-# records per-variant forward cost, weight bytes, and relative-L2 error vs
-# the same model's fp32 engine.
+# matrix ({dense, factorized} × {fp32, bf16} at 12 and 20 modes; factorized
+# models are served through the dense pack) records per-variant forward
+# cost, weight bytes, and relative-L2 error vs the same model's fp32 engine.
 #
 # bench_perf_serve drives the concurrent serving layer at 1/64/512 sessions,
 # recording throughput, p50/p99 session latency, and micro-batch occupancy;
@@ -26,7 +26,7 @@
 # sequential rollouts at pool widths 1 and 4, that bf16 engine-pool serving
 # stays within the documented rel-L2 bound of fp32, and that an overfilled
 # queue rejects with serve/admission_rejects. Variant rows re-run a 64-session
-# level per forced ISA and per serving precision. Ensemble rows serve 16
+# level per forced ISA and at bf16 serving precision. Ensemble rows serve 16
 # logical sessions at K ∈ {1,2,4,8} members each (member-snapshot throughput
 # plus mean relative spread), and the ensemble reduction contract —
 # identical members → exactly-zero variance, perturbed members → finite

@@ -8,34 +8,27 @@
 
 namespace turb::core {
 
-History perturb_member_seed(const History& seed, std::uint64_t ensemble_seed,
-                            index_t member, double eps) {
+void perturb_member_seed(History& seed, std::uint64_t ensemble_seed,
+                         index_t member, double eps) {
   TURB_CHECK(member >= 0);
   TURB_CHECK(eps >= 0.0);
-  if (member == 0 || eps == 0.0) return seed;
-  History out;
+  if (member == 0 || eps == 0.0) return;
   index_t snap_index = 0;
-  for (const FieldSnapshot& snap : seed) {
+  for (FieldSnapshot& snap : seed) {
     // One generator per (member, snapshot): insertion-order independent and
     // splittable, so the same member always sees the same perturbation no
     // matter how the seed was assembled.
     Rng rng(ensemble_seed +
             static_cast<std::uint64_t>(member) * 0x9E3779B97F4A7C15ull +
             static_cast<std::uint64_t>(snap_index) * 0xC2B2AE3D27D4EB4Full);
-    FieldSnapshot p;
-    p.t = snap.t;
-    p.u1 = snap.u1;
-    p.u2 = snap.u2;
-    for (index_t i = 0; i < p.u1.size(); ++i) {
-      p.u1[i] += eps * (2.0 * rng.uniform() - 1.0);
+    for (index_t i = 0; i < snap.u1.size(); ++i) {
+      snap.u1[i] += eps * (2.0 * rng.uniform() - 1.0);
     }
-    for (index_t i = 0; i < p.u2.size(); ++i) {
-      p.u2[i] += eps * (2.0 * rng.uniform() - 1.0);
+    for (index_t i = 0; i < snap.u2.size(); ++i) {
+      snap.u2[i] += eps * (2.0 * rng.uniform() - 1.0);
     }
-    out.push_back(std::move(p));
     ++snap_index;
   }
-  return out;
 }
 
 RolloutRequest ensemble_member_request(const RolloutRequest& base,
@@ -44,9 +37,10 @@ RolloutRequest ensemble_member_request(const RolloutRequest& base,
   TURB_CHECK_MSG(member >= 0 && member < base.ensemble_k,
                  "member " << member << " out of range for a "
                            << base.ensemble_k << "-member ensemble");
+  // The member's one seed copy is the base copy below, perturbed in place.
   RolloutRequest request = base;
-  request.seed = perturb_member_seed(base.seed, base.ensemble_seed, member,
-                                     base.ensemble_eps);
+  perturb_member_seed(request.seed, base.ensemble_seed, member,
+                      base.ensemble_eps);
   request.ensemble_k = 1;
   request.ensemble_keep_members = false;
   // The group-level calibrated guard owns divergence detection; member

@@ -29,13 +29,12 @@
 
 namespace turb::core {
 
-/// Member m's seed history: member 0 is `seed` unchanged (bitwise); member
-/// m >= 1 adds eps·δ to every velocity sample, δ ~ U[-1, 1) from an Rng
-/// keyed by (ensemble_seed, m, snapshot index). eps == 0 returns `seed`
-/// unchanged for every member.
-[[nodiscard]] History perturb_member_seed(const History& seed,
-                                          std::uint64_t ensemble_seed,
-                                          index_t member, double eps);
+/// Turn `seed` into member m's seed history in place: member 0 keeps it
+/// unchanged (bitwise); member m >= 1 adds eps·δ to every velocity sample,
+/// δ ~ U[-1, 1) from an Rng keyed by (ensemble_seed, m, snapshot index).
+/// eps == 0 leaves `seed` unchanged for every member.
+void perturb_member_seed(History& seed, std::uint64_t ensemble_seed,
+                         index_t member, double eps);
 
 /// The solo request ensemble member m of `base` executes: perturbed seed,
 /// ensemble_k = 1, guard disabled (divergence detection is the group-level

@@ -176,88 +176,53 @@ void c2c_axis(Tensor<std::complex<T>>& x, std::size_t axis, bool forward,
     return;
   }
 
-  // Strided lines: collect kept lines into lane-interleaved batches of up to
-  // B and run them through the lane-per-line plan path. Collection happens
-  // within each chunk, so the chunk partition — and the thread-count
-  // determinism contract — is unchanged; a line's bits do not depend on its
-  // batch occupancy (see fft/plan.hpp), so the grouping (which shifts with
-  // pruning gaps, chunk boundaries, and ragged tails) is unobservable.
+  // Strided lines. Where the plan has a lane kernel (batch_wants_lanes),
+  // kept lines are collected into lane-interleaved batches of up to B and
+  // run through forward_batch/inverse_batch; elsewhere B is 1 and each line
+  // runs the pinned single-line path (a one-lane batch is exactly the
+  // single-line layout). Collection happens within each chunk, so the chunk
+  // partition — and the thread-count determinism contract — is unchanged;
+  // a line's bits do not depend on its batch occupancy (see fft/plan.hpp),
+  // so the grouping (which shifts with pruning gaps, chunk boundaries, and
+  // ragged tails) is unobservable.
   const index_t batch =
-      line_batching_enabled() ? lane_count<T>(util::active_isa()) : 1;
-  if (batch > 1) {
-    static obs::Counter& batched_lines = obs::counter("fft/batched_lines");
-    static obs::Counter& tail_lines = obs::counter("fft/batch_tail_lines");
-    const bool lanes_layout = p.batch_wants_lanes();
-    parallel_for_chunked(0, outer * inner, [&](index_t tb, index_t te) {
-      Tensor<cpx>& buf = workspace<cpx>("fft/c2c_lanes", {n * batch});
-      cpx* work = buf.data();
-      cpx* lanes[kMaxLanes];
-      index_t count = 0;
-      // Counter deltas accumulate locally and publish once per chunk — a
-      // relaxed add per flush is still a shared cache line bouncing between
-      // every worker thread.
-      std::int64_t my_batched = 0, my_tails = 0;
-      const auto flush = [&] {
-        if (count == 0) return;
-        if (lanes_layout) {
-          for (index_t l = 0; l < count; ++l) {
-            const cpx* base = lanes[l];
-            for (index_t j = 0; j < n; ++j) {
-              work[j * count + l] = base[j * inner];
-            }
-          }
-          forward ? p.forward_batch(work, count)
-                  : p.inverse_batch(work, count);
-          for (index_t l = 0; l < count; ++l) {
-            cpx* base = lanes[l];
-            for (index_t j = 0; j < n; ++j) {
-              base[j * inner] = work[j * count + l];
-            }
-          }
-        } else {
-          for (index_t l = 0; l < count; ++l) {
-            const cpx* base = lanes[l];
-            cpx* w = work + l * n;
-            for (index_t j = 0; j < n; ++j) w[j] = base[j * inner];
-          }
-          forward ? p.forward_lines(work, count)
-                  : p.inverse_lines(work, count);
-          for (index_t l = 0; l < count; ++l) {
-            cpx* base = lanes[l];
-            const cpx* w = work + l * n;
-            for (index_t j = 0; j < n; ++j) base[j * inner] = w[j];
-          }
-        }
-        my_batched += count;
-        if (count < batch) my_tails += count;
-        count = 0;
-      };
-      for (index_t t = tb; t < te; ++t) {
-        const index_t o = t / inner;
-        const index_t i = t % inner;
-        if (keep != nullptr && keep[i] == 0) continue;
-        lanes[count++] = data + o * n * inner + i;
-        if (count == batch) flush();
-      }
-      flush();
-      if (my_batched != 0) batched_lines.add(my_batched);
-      if (my_tails != 0) tail_lines.add(my_tails);
-    });
-    return;
-  }
-
+      p.batch_wants_lanes() ? lane_count<T>(util::active_isa()) : 1;
+  static obs::Counter& batched_lines = obs::counter("fft/batched_lines");
+  static obs::Counter& tail_lines = obs::counter("fft/batch_tail_lines");
   parallel_for_chunked(0, outer * inner, [&](index_t tb, index_t te) {
-    thread_local std::vector<cpx> line;
-    line.resize(static_cast<std::size_t>(n));
+    Tensor<cpx>& buf = workspace<cpx>("fft/c2c_lanes", {n * batch});
+    cpx* work = buf.data();
+    cpx* lanes[kMaxLanes];
+    index_t count = 0;
+    // Counter deltas accumulate locally and publish once per chunk — a
+    // relaxed add per flush is still a shared cache line bouncing between
+    // every worker thread.
+    std::int64_t my_batched = 0, my_tails = 0;
+    const auto flush = [&] {
+      if (count == 0) return;
+      for (index_t l = 0; l < count; ++l) {
+        const cpx* base = lanes[l];
+        for (index_t j = 0; j < n; ++j) work[j * count + l] = base[j * inner];
+      }
+      forward ? p.forward_batch(work, count) : p.inverse_batch(work, count);
+      for (index_t l = 0; l < count; ++l) {
+        cpx* base = lanes[l];
+        for (index_t j = 0; j < n; ++j) base[j * inner] = work[j * count + l];
+      }
+      my_batched += count;
+      if (count < batch) my_tails += count;
+      count = 0;
+    };
     for (index_t t = tb; t < te; ++t) {
       const index_t o = t / inner;
       const index_t i = t % inner;
       if (keep != nullptr && keep[i] == 0) continue;
-      cpx* base = data + o * n * inner + i;
-      for (index_t j = 0; j < n; ++j) line[static_cast<std::size_t>(j)] = base[j * inner];
-      forward ? p.forward(line.data()) : p.inverse(line.data());
-      for (index_t j = 0; j < n; ++j) base[j * inner] = line[static_cast<std::size_t>(j)];
+      lanes[count++] = data + o * n * inner + i;
+      if (count == batch) flush();
     }
+    flush();
+    if (batch > 1 && my_batched != 0) batched_lines.add(my_batched);
+    if (my_tails != 0) tail_lines.add(my_tails);
   });
 }
 
@@ -295,36 +260,29 @@ void rfftn_into(const Tensor<T>& x, int ndim, Tensor<std::complex<T>>& out,
   if (mask != nullptr && !mask->back().empty()) {
     keep_bins = mask->back().data();
   }
-  const index_t batch =
-      line_batching_enabled() ? lane_count<T>(util::active_isa()) : 1;
-  if (batch > 1) {
-    static obs::Counter& batched_lines = obs::counter("fft/batched_lines");
-    static obs::Counter& tail_lines = obs::counter("fft/batch_tail_lines");
-    const index_t h = n_last / 2;
-    parallel_for_chunked(0, rows, [&](index_t rb, index_t re) {
-      Tensor<cpx>& zbuf = workspace<cpx>("fft/rfft_z_lanes", {h * batch});
-      Tensor<cpx>& ubuf = workspace<cpx>("fft/rfft_u_lanes", {(h + 1) * batch});
-      Tensor<cpx>& twbuf = workspace<cpx>("fft/rfft_tw", {h + 1});
-      fill_rfft_twiddles(twbuf.data(), n_last);
-      std::int64_t my_batched = 0, my_tails = 0;
-      for (index_t r = rb; r < re; r += batch) {
-        const index_t nl = std::min(batch, re - r);
-        rfft_batch_scratch(in_data + r * n_last, n_last,
-                           out_data + r * out_row, out_row, n_last, nl,
-                           keep_bins, zbuf.data(), ubuf.data(), twbuf.data());
-        my_batched += nl;
-        if (nl < batch) my_tails += nl;
-      }
-      batched_lines.add(my_batched);
-      if (my_tails != 0) tail_lines.add(my_tails);
-    });
-  } else {
-    parallel_for_chunked(0, rows, [&](index_t rb, index_t re) {
-      for (index_t r = rb; r < re; ++r) {
-        rfft(in_data + r * n_last, out_data + r * out_row, n_last, keep_bins);
-      }
-    });
-  }
+  // Rows run in blocks of up to B through rfft_batch_scratch: lane kernels
+  // on avx2, the single-row kernel per row on the scalar tier.
+  const index_t batch = lane_count<T>(util::active_isa());
+  static obs::Counter& batched_lines = obs::counter("fft/batched_lines");
+  static obs::Counter& tail_lines = obs::counter("fft/batch_tail_lines");
+  const index_t h = n_last / 2;
+  parallel_for_chunked(0, rows, [&](index_t rb, index_t re) {
+    Tensor<cpx>& zbuf = workspace<cpx>("fft/rfft_z_lanes", {h * batch});
+    Tensor<cpx>& ubuf = workspace<cpx>("fft/rfft_u_lanes", {(h + 1) * batch});
+    Tensor<cpx>& twbuf = workspace<cpx>("fft/rfft_tw", {h + 1});
+    fill_rfft_twiddles(twbuf.data(), n_last);
+    std::int64_t my_batched = 0, my_tails = 0;
+    for (index_t r = rb; r < re; r += batch) {
+      const index_t nl = std::min(batch, re - r);
+      rfft_batch_scratch(in_data + r * n_last, n_last, out_data + r * out_row,
+                         out_row, n_last, nl, keep_bins, zbuf.data(),
+                         ubuf.data(), twbuf.data());
+      my_batched += nl;
+      if (nl < batch) my_tails += nl;
+    }
+    batched_lines.add(my_batched);
+    if (my_tails != 0) tail_lines.add(my_tails);
+  });
 
   // Remaining (complex) transform axes, innermost-first order is arbitrary.
   // Stage d transforms trailing axis j = ndim-1-d; the axes after j are
@@ -401,37 +359,27 @@ void irfftn_into(const Tensor<std::complex<T>>& x, int ndim, index_t n_last,
   lines_total.add(rows);
   util::fft_dispatch_counter(util::active_isa()).add(1);
   T* out_data = out.data();
-  const index_t batch =
-      line_batching_enabled() ? lane_count<T>(util::active_isa()) : 1;
-  if (batch > 1) {
-    static obs::Counter& batched_lines = obs::counter("fft/batched_lines");
-    static obs::Counter& tail_lines = obs::counter("fft/batch_tail_lines");
-    const index_t h = n_last / 2;
-    parallel_for_chunked(0, rows, [&](index_t rb, index_t re) {
-      Tensor<cpx>& zbuf = workspace<cpx>("fft/irfft_z_lanes", {h * batch});
-      Tensor<cpx>& ubuf =
-          workspace<cpx>("fft/irfft_u_lanes", {(h + 1) * batch});
-      Tensor<cpx>& twbuf = workspace<cpx>("fft/irfft_tw", {h});
-      fill_irfft_twiddles(twbuf.data(), n_last);
-      std::int64_t my_batched = 0, my_tails = 0;
-      for (index_t r = rb; r < re; r += batch) {
-        const index_t nl = std::min(batch, re - r);
-        irfft_batch_scratch(spec + r * in_row, in_row,
-                            out_data + r * n_last, n_last, n_last, nl,
-                            zbuf.data(), ubuf.data(), twbuf.data());
-        my_batched += nl;
-        if (nl < batch) my_tails += nl;
-      }
-      batched_lines.add(my_batched);
-      if (my_tails != 0) tail_lines.add(my_tails);
-    });
-  } else {
-    parallel_for_chunked(0, rows, [&](index_t rb, index_t re) {
-      for (index_t r = rb; r < re; ++r) {
-        irfft(spec + r * in_row, out_data + r * n_last, n_last);
-      }
-    });
-  }
+  const index_t batch = lane_count<T>(util::active_isa());
+  static obs::Counter& batched_lines = obs::counter("fft/batched_lines");
+  static obs::Counter& tail_lines = obs::counter("fft/batch_tail_lines");
+  const index_t h = n_last / 2;
+  parallel_for_chunked(0, rows, [&](index_t rb, index_t re) {
+    Tensor<cpx>& zbuf = workspace<cpx>("fft/irfft_z_lanes", {h * batch});
+    Tensor<cpx>& ubuf = workspace<cpx>("fft/irfft_u_lanes", {(h + 1) * batch});
+    Tensor<cpx>& twbuf = workspace<cpx>("fft/irfft_tw", {h});
+    fill_irfft_twiddles(twbuf.data(), n_last);
+    std::int64_t my_batched = 0, my_tails = 0;
+    for (index_t r = rb; r < re; r += batch) {
+      const index_t nl = std::min(batch, re - r);
+      irfft_batch_scratch(spec + r * in_row, in_row, out_data + r * n_last,
+                          n_last, n_last, nl, zbuf.data(), ubuf.data(),
+                          twbuf.data());
+      my_batched += nl;
+      if (nl < batch) my_tails += nl;
+    }
+    batched_lines.add(my_batched);
+    if (my_tails != 0) tail_lines.add(my_tails);
+  });
 }
 
 /// Inverse of rfftn. `n_last` is the original size of the last axis.

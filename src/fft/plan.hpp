@@ -16,10 +16,8 @@
 // Bluestein lengths reach the dispatch through their power-of-two sub-plan.
 #pragma once
 
-#include <atomic>
 #include <cmath>
 #include <complex>
-#include <cstdlib>
 #include <memory>
 #include <numbers>
 #include <type_traits>
@@ -57,8 +55,9 @@ inline index_t next_pow2(index_t n) {
 inline constexpr index_t kMaxLanes = 8;
 
 /// Lanes per batched line sweep for element type T on the given ISA tier:
-/// one SIMD register of lanes on avx2 (8 f32 / 4 f64), a fixed 4-lane block
-/// on the scalar tier (gather/scatter locality still pays for itself).
+/// one SIMD register of lanes on avx2 (8 f32 / 4 f64), a fixed 4-row block
+/// on the scalar tier (only the real-row drivers batch there, and their
+/// scalar body runs each row through the single-line kernel).
 template <typename T>
 index_t lane_count(util::Isa isa) {
 #if defined(TURBFNO_HAS_AVX2_KERNELS)
@@ -70,43 +69,6 @@ index_t lane_count(util::Isa isa) {
 #endif
   return 4;
 }
-
-namespace detail {
-
-inline std::atomic<int>& line_batching_flag() {
-  static std::atomic<int> flag = [] {
-    const char* env = std::getenv("TURBFNO_FFT_BATCH");
-    return (env != nullptr && env[0] == '0' && env[1] == '\0') ? 0 : 1;
-  }();
-  return flag;
-}
-
-}  // namespace detail
-
-/// Whether the lane-per-line batched FFT path is active (default on; set
-/// TURBFNO_FFT_BATCH=0 or call set_line_batching(false) to force the
-/// per-line reference path, e.g. for baseline benchmarking).
-inline bool line_batching_enabled() {
-  return detail::line_batching_flag().load(std::memory_order_relaxed) != 0;
-}
-
-inline void set_line_batching(bool on) {
-  detail::line_batching_flag().store(on ? 1 : 0, std::memory_order_relaxed);
-}
-
-/// RAII batching override for benches and property tests.
-class ScopedLineBatching {
- public:
-  explicit ScopedLineBatching(bool on) : prev_(line_batching_enabled()) {
-    set_line_batching(on);
-  }
-  ~ScopedLineBatching() { set_line_batching(prev_); }
-  ScopedLineBatching(const ScopedLineBatching&) = delete;
-  ScopedLineBatching& operator=(const ScopedLineBatching&) = delete;
-
- private:
-  bool prev_;
-};
 
 template <typename T>
 class PlanC2C {
@@ -144,11 +106,10 @@ class PlanC2C {
   }
 
   /// Does this plan execute batches through lane-interleaved SIMD kernels
-  /// under the currently active ISA? When false, execute_batch would just
-  /// transpose to line-major and run per lane — callers that control the
-  /// gather layout should instead gather line-major and use
-  /// forward_lines/inverse_lines, skipping both transposes while keeping
-  /// the batched gather's cache-line sharing on strided slabs.
+  /// under the currently active ISA (avx2 and a power-of-two length)? When
+  /// false, execute_batch would only de-interleave and run per lane, so the
+  /// line drivers (fft::c2c_axis, the inference engine) run such plans one
+  /// line at a time through forward()/inverse() instead.
   [[nodiscard]] bool batch_wants_lanes() const {
 #if defined(TURBFNO_HAS_AVX2_KERNELS)
     if constexpr (std::is_same_v<T, float> || std::is_same_v<T, double>) {
@@ -156,19 +117,6 @@ class PlanC2C {
     }
 #endif
     return false;
-  }
-
-  /// Line-major batched transforms: `nlines` contiguous lines of length n,
-  /// line l at x + l*n. Each line runs the pinned single-line path, so the
-  /// results are trivially bitwise identical to forward()/inverse() per
-  /// line; this is the no-transpose companion of forward_batch for tiers
-  /// without lane kernels (see batch_wants_lanes).
-  void forward_lines(cpx* x, index_t nlines) const {
-    for (index_t l = 0; l < nlines; ++l) execute(x + l * n_, false);
-  }
-
-  void inverse_lines(cpx* x, index_t nlines) const {
-    for (index_t l = 0; l < nlines; ++l) execute(x + l * n_, true);
   }
 
  private:

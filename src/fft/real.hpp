@@ -61,11 +61,16 @@ void fill_irfft_twiddles(std::complex<T>* tw, index_t n) {
 /// engine's arena hands in preallocated slices here; the thread_local
 /// wrapper below keeps the original signature for everyone else. Both run
 /// the exact same instructions, so results are bitwise identical between
-/// the two entry points.
+/// the two entry points. noinline+noclone pin one compiled body (as for
+/// PlanC2C::execute): inlined copies of the scalar unpack would otherwise
+/// be FMA-contracted differently per call site under -ffp-contract=fast,
+/// and the single-row rfft would stop being the bitwise reference for the
+/// row-batched drivers.
 template <typename T>
-void rfft_scratch(const T* in, std::complex<T>* out, index_t n,
-                  const std::uint8_t* keep_bins, std::complex<T>* z,
-                  const std::complex<T>* tw) {
+__attribute__((noinline, noclone)) void rfft_scratch(
+    const T* in, std::complex<T>* out, index_t n,
+    const std::uint8_t* keep_bins, std::complex<T>* z,
+    const std::complex<T>* tw) {
   using cpx = std::complex<T>;
   TURB_CHECK_MSG(n >= 2 && n % 2 == 0, "rfft length must be even, got " << n);
   const index_t h = n / 2;
@@ -96,10 +101,12 @@ void rfft_scratch(const T* in, std::complex<T>* out, index_t n,
 }
 
 /// irfft core with caller-provided scratch `z` (n/2 elements) and twiddle
-/// table `tw` (n/2 elements, see fill_irfft_twiddles).
+/// table `tw` (n/2 elements, see fill_irfft_twiddles). Pinned like
+/// rfft_scratch.
 template <typename T>
-void irfft_scratch(const std::complex<T>* in, T* out, index_t n,
-                   std::complex<T>* z, const std::complex<T>* tw) {
+__attribute__((noinline, noclone)) void irfft_scratch(
+    const std::complex<T>* in, T* out, index_t n, std::complex<T>* z,
+    const std::complex<T>* tw) {
   using cpx = std::complex<T>;
   TURB_CHECK_MSG(n >= 2 && n % 2 == 0, "irfft length must be even, got " << n);
   const index_t h = n / 2;

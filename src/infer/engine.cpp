@@ -65,33 +65,6 @@ InferenceEngine::InferenceEngine(fno::Fno& model, EngineOptions options)
   bskip_.resize(static_cast<std::size_t>(cfg_.n_layers));
   pw_.resize(static_cast<std::size_t>(cfg_.n_layers));
   pw16_.resize(static_cast<std::size_t>(cfg_.n_layers));
-  pf_.resize(static_cast<std::size_t>(cfg_.n_layers));
-  pf16_.resize(static_cast<std::size_t>(cfg_.n_layers));
-  if (cfg_.spectral_kind == nn::SpectralKind::kFactorized) {
-    // Per-axis kept extents and the flat kept index → per-axis index table
-    // (row-major over the kept extents — the layer's enumeration order).
-    const std::size_t r = cfg_.rank();
-    fdims_.resize(r);
-    index_t kept = 1;
-    for (std::size_t d = 0; d < r; ++d) {
-      fdims_[d] = d + 1 < r ? cfg_.n_modes[d] : cfg_.n_modes.back() / 2 + 1;
-      kept *= fdims_[d];
-    }
-    fidx_.assign(r, {});
-    for (std::size_t d = 0; d < r; ++d) {
-      fidx_[d].resize(static_cast<std::size_t>(kept));
-    }
-    std::vector<index_t> k(r, 0);
-    for (index_t flat = 0; flat < kept; ++flat) {
-      for (std::size_t d = 0; d < r; ++d) {
-        fidx_[d][static_cast<std::size_t>(flat)] = k[d];
-      }
-      for (std::size_t d = r; d-- > 0;) {
-        if (++k[d] < fdims_[d]) break;
-        k[d] = 0;
-      }
-    }
-  }
   refresh_weights();
 }
 
@@ -109,75 +82,44 @@ void InferenceEngine::refresh_weights() {
     // a checkpoint-v3 load at this precision would serve.
     for (std::vector<float>* v :
          {&wl1_, &bl1_, &wl2_, &bl2_, &wp1_, &bp1_, &wp2_, &bp2_}) {
-      util::quantize_floats(v->data(), v->size(), precision_);
+      util::quantize_bf16(v->data(), v->size());
     }
   }
   for (index_t l = 0; l < cfg_.n_layers; ++l) {
     const auto ls = static_cast<std::size_t>(l);
     copy_linear(model_->skip(l), wskip_[ls], bskip_[ls]);
     if (compressed) {
-      util::quantize_floats(wskip_[ls].data(), wskip_[ls].size(), precision_);
-      util::quantize_floats(bskip_[ls].data(), bskip_[ls].size(), precision_);
+      util::quantize_bf16(wskip_[ls].data(), wskip_[ls].size());
+      util::quantize_bf16(bskip_[ls].data(), bskip_[ls].size());
     }
+    // Every parameterisation is served through the one dense pack: the
+    // layer's effective (C_in, C_out, K, 2) weight — the parameter itself
+    // for dense layers, the per-axis factor product for factorized ones — is
+    // exactly what its training forward contracts against.
     nn::SpectralLayer& conv = model_->conv(l);
     const index_t K = conv.kept_modes();
-    if (conv.kind() == nn::SpectralKind::kDense) {
-      auto& dc = static_cast<nn::SpectralConv&>(conv);
-      const float* src = dc.weight().value.data();
-      // Training layout W[i, o, k] strides by K per input channel; re-lay
-      // k-major so the contraction's ascending-i inner loop is contiguous.
-      // A pure gather: every value is copied verbatim, so the arithmetic
-      // downstream sees identical operands in identical order.
-      std::vector<float>& pw = pw_[ls];
-      pw.resize(static_cast<std::size_t>(K * w * w * 2));
-      for (index_t k = 0; k < K; ++k) {
-        for (index_t o = 0; o < w; ++o) {
-          float* dst = pw.data() + (k * w + o) * w * 2;
-          for (index_t i = 0; i < w; ++i) {
-            const float* wk = src + ((i * w + o) * K + k) * 2;
-            dst[2 * i] = wk[0];
-            dst[2 * i + 1] = wk[1];
-          }
+    const float* src = conv.dense_weight();
+    // Training layout W[i, o, k] strides by K per input channel; re-lay
+    // k-major so the contraction's ascending-i inner loop is contiguous.
+    // A pure gather: every value is copied verbatim, so the arithmetic
+    // downstream sees identical operands in identical order.
+    std::vector<float>& pw = pw_[ls];
+    pw.resize(static_cast<std::size_t>(K * w * w * 2));
+    for (index_t k = 0; k < K; ++k) {
+      for (index_t o = 0; o < w; ++o) {
+        float* dst = pw.data() + (k * w + o) * w * 2;
+        for (index_t i = 0; i < w; ++i) {
+          const float* wk = src + ((i * w + o) * K + k) * 2;
+          dst[2 * i] = wk[0];
+          dst[2 * i + 1] = wk[1];
         }
       }
-      if (compressed) {
-        pw16_[ls].resize(pw.size());
-        util::compress_floats(pw.data(), pw16_[ls].data(), pw.size(),
-                              precision_);
-        pw.clear();
-        pw.shrink_to_fit();
-      }
-    } else {
-      // Factorized: one k_d-major block per axis, same (o, i) inner order
-      // as the dense pack. The contraction composes the per-mode weight in
-      // registers with the training path's left-to-right product order.
-      auto& fc = static_cast<nn::FactorizedSpectralConv&>(conv);
-      const std::size_t r = cfg_.rank();
-      pf_[ls].resize(r);
-      pf16_[ls].resize(r);
-      for (std::size_t d = 0; d < r; ++d) {
-        const float* src = fc.factor(d).value.data();  // (C_in, C_out, m_d, 2)
-        const index_t m = fdims_[d];
-        std::vector<float>& pf = pf_[ls][d];
-        pf.resize(static_cast<std::size_t>(m * w * w * 2));
-        for (index_t kd = 0; kd < m; ++kd) {
-          for (index_t o = 0; o < w; ++o) {
-            float* dst = pf.data() + (kd * w + o) * w * 2;
-            for (index_t i = 0; i < w; ++i) {
-              const float* fk = src + ((i * w + o) * m + kd) * 2;
-              dst[2 * i] = fk[0];
-              dst[2 * i + 1] = fk[1];
-            }
-          }
-        }
-        if (compressed) {
-          pf16_[ls][d].resize(pf.size());
-          util::compress_floats(pf.data(), pf16_[ls][d].data(), pf.size(),
-                                precision_);
-          pf.clear();
-          pf.shrink_to_fit();
-        }
-      }
+    }
+    if (compressed) {
+      pw16_[ls].resize(pw.size());
+      util::compress_bf16(pw.data(), pw16_[ls].data(), pw.size());
+      pw.clear();
+      pw.shrink_to_fit();
     }
   }
 }
@@ -186,12 +128,6 @@ std::size_t InferenceEngine::spectral_weight_bytes() const {
   std::size_t bytes = 0;
   for (const auto& v : pw_) bytes += v.size() * sizeof(float);
   for (const auto& v : pw16_) bytes += v.size() * sizeof(std::uint16_t);
-  for (const auto& axes : pf_) {
-    for (const auto& v : axes) bytes += v.size() * sizeof(float);
-  }
-  for (const auto& axes : pf16_) {
-    for (const auto& v : axes) bytes += v.size() * sizeof(std::uint16_t);
-  }
   return bytes;
 }
 
@@ -279,8 +215,6 @@ void InferenceEngine::plan(const Shape& in_shape) {
   off_twf_ = arena_.reserve<cpxf>(n_last_ / 2 + 1);
   off_twi_ = arena_.reserve<cpxf>(n_last_ / 2);
   off_tile_.assign(slots_, 0);
-  off_z_.assign(slots_, 0);
-  off_line_.assign(slots_, 0);
   off_xg_.assign(slots_, 0);
   off_zl_.assign(slots_, 0);
   off_ul_.assign(slots_, 0);
@@ -288,8 +222,6 @@ void InferenceEngine::plan(const Shape& in_shape) {
   const index_t h = n_last_ / 2;
   for (std::size_t t = 0; t < slots_; ++t) {
     off_tile_[t] = arena_.reserve<float>(tile_rows_ * kColBlock);
-    off_z_[t] = arena_.reserve<cpxf>(h);
-    off_line_[t] = arena_.reserve<cpxf>(line_len_);
     off_xg_[t] = arena_.reserve<cpxf>(w);
     off_zl_[t] = arena_.reserve<cpxf>(h * fft::kMaxLanes);
     off_ul_[t] = arena_.reserve<cpxf>((h + 1) * fft::kMaxLanes);
@@ -430,32 +362,21 @@ void InferenceEngine::rfft_rows(const float* in, cpxf* out) {
   util::fft_dispatch_counter(util::active_isa()).add(1);
   const std::uint8_t* keep = keep_bins_.empty() ? nullptr : keep_bins_.data();
   const cpxf* tw = arena_.at<cpxf>(off_twf_);
-  const index_t b =
-      fft::line_batching_enabled() ? fft::lane_count<float>(isa_) : 1;
-  if (b > 1) {
-    run_chunks(*pool_, rows, [&](index_t rb, index_t re) {
-      const std::size_t slot = pool_->scratch_slot();
-      cpxf* zl = arena_.at<cpxf>(off_zl_[slot]);
-      cpxf* ul = arena_.at<cpxf>(off_ul_[slot]);
-      std::int64_t my_batched = 0, my_tails = 0;
-      for (index_t r = rb; r < re; r += b) {
-        const index_t nl = std::min(b, re - r);
-        fft::rfft_batch_scratch(in + r * n_last_, n_last_, out + r * out_row,
-                                out_row, n_last_, nl, keep, zl, ul, tw);
-        my_batched += nl;
-        if (nl < b) my_tails += nl;
-      }
-      fft_batched_lines_.add(my_batched);
-      if (my_tails != 0) fft_batch_tail_lines_.add(my_tails);
-    });
-    return;
-  }
+  const index_t b = fft::lane_count<float>(isa_);
   run_chunks(*pool_, rows, [&](index_t rb, index_t re) {
-    cpxf* z = arena_.at<cpxf>(off_z_[pool_->scratch_slot()]);
-    for (index_t r = rb; r < re; ++r) {
-      fft::rfft_scratch(in + r * n_last_, out + r * out_row, n_last_, keep, z,
-                        tw);
+    const std::size_t slot = pool_->scratch_slot();
+    cpxf* zl = arena_.at<cpxf>(off_zl_[slot]);
+    cpxf* ul = arena_.at<cpxf>(off_ul_[slot]);
+    std::int64_t my_batched = 0, my_tails = 0;
+    for (index_t r = rb; r < re; r += b) {
+      const index_t nl = std::min(b, re - r);
+      fft::rfft_batch_scratch(in + r * n_last_, n_last_, out + r * out_row,
+                              out_row, n_last_, nl, keep, zl, ul, tw);
+      my_batched += nl;
+      if (nl < b) my_tails += nl;
     }
+    fft_batched_lines_.add(my_batched);
+    if (my_tails != 0) fft_batch_tail_lines_.add(my_tails);
   });
 }
 
@@ -466,31 +387,21 @@ void InferenceEngine::irfft_rows(const cpxf* in, float* out) {
   fft_lines_total_.add(rows);
   util::fft_dispatch_counter(util::active_isa()).add(1);
   const cpxf* tw = arena_.at<cpxf>(off_twi_);
-  const index_t b =
-      fft::line_batching_enabled() ? fft::lane_count<float>(isa_) : 1;
-  if (b > 1) {
-    run_chunks(*pool_, rows, [&](index_t rb, index_t re) {
-      const std::size_t slot = pool_->scratch_slot();
-      cpxf* zl = arena_.at<cpxf>(off_zl_[slot]);
-      cpxf* ul = arena_.at<cpxf>(off_ul_[slot]);
-      std::int64_t my_batched = 0, my_tails = 0;
-      for (index_t r = rb; r < re; r += b) {
-        const index_t nl = std::min(b, re - r);
-        fft::irfft_batch_scratch(in + r * in_row, in_row, out + r * n_last_,
-                                 n_last_, n_last_, nl, zl, ul, tw);
-        my_batched += nl;
-        if (nl < b) my_tails += nl;
-      }
-      fft_batched_lines_.add(my_batched);
-      if (my_tails != 0) fft_batch_tail_lines_.add(my_tails);
-    });
-    return;
-  }
+  const index_t b = fft::lane_count<float>(isa_);
   run_chunks(*pool_, rows, [&](index_t rb, index_t re) {
-    cpxf* z = arena_.at<cpxf>(off_z_[pool_->scratch_slot()]);
-    for (index_t r = rb; r < re; ++r) {
-      fft::irfft_scratch(in + r * in_row, out + r * n_last_, n_last_, z, tw);
+    const std::size_t slot = pool_->scratch_slot();
+    cpxf* zl = arena_.at<cpxf>(off_zl_[slot]);
+    cpxf* ul = arena_.at<cpxf>(off_ul_[slot]);
+    std::int64_t my_batched = 0, my_tails = 0;
+    for (index_t r = rb; r < re; r += b) {
+      const index_t nl = std::min(b, re - r);
+      fft::irfft_batch_scratch(in + r * in_row, in_row, out + r * n_last_,
+                               n_last_, n_last_, nl, zl, ul, tw);
+      my_batched += nl;
+      if (nl < b) my_tails += nl;
     }
+    fft_batched_lines_.add(my_batched);
+    if (my_tails != 0) fft_batch_tail_lines_.add(my_tails);
   });
 }
 
@@ -522,82 +433,45 @@ void InferenceEngine::c2c_stage(const cpxf* src, cpxf* dst, const C2cStage& st,
   // same either way, and skipped lines leave dst untouched — zero by the
   // arena-commit invariant, exactly what the in-place path would hold.
   //
-  // With line batching on, kept lines are collected into lane-interleaved
-  // batches of up to B within each chunk (mirroring fft::c2c_axis), so the
-  // chunk partition and thread-count determinism are unchanged; batch
-  // occupancy invariance (fft/plan.hpp) makes the grouping unobservable in
-  // the output bits.
-  const index_t b =
-      fft::line_batching_enabled() ? fft::lane_count<float>(isa_) : 1;
-  if (b > 1) {
-    const bool lanes_layout = p.batch_wants_lanes();
-    run_chunks(*pool_, st.outer * inner, [&](index_t tb, index_t te) {
-      cpxf* work = arena_.at<cpxf>(off_lanes_[pool_->scratch_slot()]);
-      const cpxf* in_lanes[fft::kMaxLanes];
-      cpxf* out_lanes[fft::kMaxLanes];
-      index_t count = 0;
-      std::int64_t my_batched = 0, my_tails = 0;
-      const auto flush = [&] {
-        if (count == 0) return;
-        if (lanes_layout) {
-          for (index_t l = 0; l < count; ++l) {
-            const cpxf* base = in_lanes[l];
-            for (index_t j = 0; j < n; ++j) {
-              work[j * count + l] = base[j * inner];
-            }
-          }
-          forward_dir ? p.forward_batch(work, count)
-                      : p.inverse_batch(work, count);
-          for (index_t l = 0; l < count; ++l) {
-            cpxf* base = out_lanes[l];
-            for (index_t j = 0; j < n; ++j) {
-              base[j * inner] = work[j * count + l];
-            }
-          }
-        } else {
-          for (index_t l = 0; l < count; ++l) {
-            const cpxf* base = in_lanes[l];
-            cpxf* w = work + l * n;
-            for (index_t j = 0; j < n; ++j) w[j] = base[j * inner];
-          }
-          forward_dir ? p.forward_lines(work, count)
-                      : p.inverse_lines(work, count);
-          for (index_t l = 0; l < count; ++l) {
-            cpxf* base = out_lanes[l];
-            const cpxf* w = work + l * n;
-            for (index_t j = 0; j < n; ++j) base[j * inner] = w[j];
-          }
-        }
-        my_batched += count;
-        if (count < b) my_tails += count;
-        count = 0;
-      };
-      for (index_t t = tb; t < te; ++t) {
-        const index_t o = t / inner;
-        const index_t i = t % inner;
-        if (keep != nullptr && keep[i] == 0) continue;
-        in_lanes[count] = src + o * n * inner + i;
-        out_lanes[count] = dst + o * n * inner + i;
-        if (++count == b) flush();
-      }
-      flush();
-      fft_batched_lines_.add(my_batched);
-      if (my_tails != 0) fft_batch_tail_lines_.add(my_tails);
-    });
-    return;
-  }
+  // Mirroring fft::c2c_axis, kept lines are collected into lane-interleaved
+  // batches of up to B within each chunk where the plan has a lane kernel,
+  // and run one at a time (B = 1) elsewhere, so the chunk partition and
+  // thread-count determinism are unchanged; batch occupancy invariance
+  // (fft/plan.hpp) makes the grouping unobservable in the output bits.
+  const index_t b = p.batch_wants_lanes() ? fft::lane_count<float>(isa_) : 1;
   run_chunks(*pool_, st.outer * inner, [&](index_t tb, index_t te) {
-    cpxf* line = arena_.at<cpxf>(off_line_[pool_->scratch_slot()]);
+    cpxf* work = arena_.at<cpxf>(off_lanes_[pool_->scratch_slot()]);
+    const cpxf* in_lanes[fft::kMaxLanes];
+    cpxf* out_lanes[fft::kMaxLanes];
+    index_t count = 0;
+    std::int64_t my_batched = 0, my_tails = 0;
+    const auto flush = [&] {
+      if (count == 0) return;
+      for (index_t l = 0; l < count; ++l) {
+        const cpxf* base = in_lanes[l];
+        for (index_t j = 0; j < n; ++j) work[j * count + l] = base[j * inner];
+      }
+      forward_dir ? p.forward_batch(work, count)
+                  : p.inverse_batch(work, count);
+      for (index_t l = 0; l < count; ++l) {
+        cpxf* base = out_lanes[l];
+        for (index_t j = 0; j < n; ++j) base[j * inner] = work[j * count + l];
+      }
+      my_batched += count;
+      if (count < b) my_tails += count;
+      count = 0;
+    };
     for (index_t t = tb; t < te; ++t) {
       const index_t o = t / inner;
       const index_t i = t % inner;
       if (keep != nullptr && keep[i] == 0) continue;
-      const cpxf* in_base = src + o * n * inner + i;
-      cpxf* out_base = dst + o * n * inner + i;
-      for (index_t j = 0; j < n; ++j) line[j] = in_base[j * inner];
-      forward_dir ? p.forward(line) : p.inverse(line);
-      for (index_t j = 0; j < n; ++j) out_base[j * inner] = line[j];
+      in_lanes[count] = src + o * n * inner + i;
+      out_lanes[count] = dst + o * n * inner + i;
+      if (++count == b) flush();
     }
+    flush();
+    if (b > 1) fft_batched_lines_.add(my_batched);
+    if (my_tails != 0) fft_batch_tail_lines_.add(my_tails);
   });
 }
 
@@ -605,69 +479,10 @@ void InferenceEngine::contract(index_t l, const cpxf* xs, cpxf* ys) {
   const index_t w = cfg_.width, K = kept_, slab = slab_;
   const index_t* offs = spec_offsets_.data();
   const auto ls = static_cast<std::size_t>(l);
-  const bool factorized =
-      cfg_.spectral_kind == nn::SpectralKind::kFactorized;
-
-  if (!factorized) {
-    // Dense contraction over the k-major pack; `load` widens one stored
-    // weight component to fp32 (identity at fp32, bf16/fp16 widening on the
-    // compressed path — the only arithmetic difference between the tiers).
-    auto dense_contract = [&](const auto* pw, auto load) {
-      run_chunks(*pool_, batch_ * K, [&](index_t tb, index_t te) {
-        cpxf* xg = arena_.at<cpxf>(off_xg_[pool_->scratch_slot()]);
-        for (index_t t = tb; t < te; ++t) {
-          const index_t n = t / K;
-          const index_t k = t % K;
-          const index_t off = offs[k];
-          const cpxf* xn = xs + n * w * slab;
-          cpxf* yn = ys + n * w * slab;
-          // Gather the input channels of this mode once (a verbatim copy),
-          // then run the training contraction: for every output channel,
-          // accumulate over input channels in ascending order — the
-          // identical per-element expression and rounding sequence as the
-          // training forward, just with contiguous (prepacked) weight reads.
-          for (index_t i = 0; i < w; ++i) xg[i] = xn[i * slab + off];
-          const auto* pk = pw + k * w * w * 2;
-          for (index_t o = 0; o < w; ++o) {
-            const auto* po = pk + o * w * 2;
-            float ar = 0.0f, ai = 0.0f;
-            for (index_t i = 0; i < w; ++i) {
-              const cpxf xv = xg[i];
-              const float wr = load(po[2 * i]);
-              const float wi = load(po[2 * i + 1]);
-              ar += wr * xv.real() - wi * xv.imag();
-              ai += wr * xv.imag() + wi * xv.real();
-            }
-            yn[o * slab + off] = cpxf(ar, ai);
-          }
-        }
-      });
-    };
-    if (precision_ == util::Precision::kFp32) {
-      dense_contract(pw_[ls].data(), [](float v) { return v; });
-    } else if (precision_ == util::Precision::kBf16) {
-      dense_contract(pw16_[ls].data(),
-                     [](std::uint16_t v) { return util::bf16_to_float(v); });
-    } else {
-      dense_contract(pw16_[ls].data(),
-                     [](std::uint16_t v) { return util::fp16_to_float(v); });
-    }
-    return;
-  }
-
-  // Factorized contraction: compose the per-mode weight from the per-axis
-  // k_d-major packs in registers while the gathered input streams through —
-  // the factors' small working set (Σ m_d instead of ∏ m_d rows) is the
-  // bandwidth win. The left-to-right complex product matches the training
-  // layer's materialisation order, but because that layer rounds the
-  // product through memory in a separate loop, -ffp-contract=fast may fuse
-  // the two contexts differently (DESIGN.md codegen caveat): the factorized
-  // fp32 tier promises bounded agreement with Fno::forward plus strict
-  // bitwise reproducibility across thread counts and repeats.
-  const std::size_t r = cfg_.rank();
-  auto fact_contract = [&](const auto& packs, auto load) {
-    const index_t* fx[3] = {nullptr, nullptr, nullptr};
-    for (std::size_t d = 0; d < r; ++d) fx[d] = fidx_[d].data();
+  // Contraction over the k-major pack; `load` widens one stored weight
+  // component to fp32 (identity at fp32, bf16 widening on the compressed
+  // path — the only arithmetic difference between the tiers).
+  auto dense_contract = [&](const auto* pw, auto load) {
     run_chunks(*pool_, batch_ * K, [&](index_t tb, index_t te) {
       cpxf* xg = arena_.at<cpxf>(off_xg_[pool_->scratch_slot()]);
       for (index_t t = tb; t < te; ++t) {
@@ -676,25 +491,20 @@ void InferenceEngine::contract(index_t l, const cpxf* xs, cpxf* ys) {
         const index_t off = offs[k];
         const cpxf* xn = xs + n * w * slab;
         cpxf* yn = ys + n * w * slab;
+        // Gather the input channels of this mode once (a verbatim copy),
+        // then run the training contraction: for every output channel,
+        // accumulate over input channels in ascending order — the identical
+        // per-element expression and rounding sequence as the training
+        // forward, just with contiguous (prepacked) weight reads.
         for (index_t i = 0; i < w; ++i) xg[i] = xn[i * slab + off];
+        const auto* pk = pw + k * w * w * 2;
         for (index_t o = 0; o < w; ++o) {
-          decltype(packs[0].data()) row[3] = {nullptr, nullptr, nullptr};
-          for (std::size_t d = 0; d < r; ++d) {
-            row[d] = packs[d].data() + (fx[d][k] * w + o) * w * 2;
-          }
+          const auto* po = pk + o * w * 2;
           float ar = 0.0f, ai = 0.0f;
           for (index_t i = 0; i < w; ++i) {
-            float wr = load(row[0][2 * i]);
-            float wi = load(row[0][2 * i + 1]);
-            for (std::size_t d = 1; d < r; ++d) {
-              const float fr = load(row[d][2 * i]);
-              const float fi = load(row[d][2 * i + 1]);
-              const float nr = wr * fr - wi * fi;
-              const float ni = wr * fi + wi * fr;
-              wr = nr;
-              wi = ni;
-            }
             const cpxf xv = xg[i];
+            const float wr = load(po[2 * i]);
+            const float wi = load(po[2 * i + 1]);
             ar += wr * xv.real() - wi * xv.imag();
             ai += wr * xv.imag() + wi * xv.real();
           }
@@ -704,13 +514,10 @@ void InferenceEngine::contract(index_t l, const cpxf* xs, cpxf* ys) {
     });
   };
   if (precision_ == util::Precision::kFp32) {
-    fact_contract(pf_[ls], [](float v) { return v; });
-  } else if (precision_ == util::Precision::kBf16) {
-    fact_contract(pf16_[ls],
-                  [](std::uint16_t v) { return util::bf16_to_float(v); });
+    dense_contract(pw_[ls].data(), [](float v) { return v; });
   } else {
-    fact_contract(pf16_[ls],
-                  [](std::uint16_t v) { return util::fp16_to_float(v); });
+    dense_contract(pw16_[ls].data(),
+                   [](std::uint16_t v) { return util::bf16_to_float(v); });
   }
 }
 

@@ -13,10 +13,10 @@
 //     bias (+GELU) applied in the tile, second GEMM straight into the
 //     destination — so no (N, C_lift, S)-sized intermediate ever exists;
 //   * spectral weights are prepacked k-major at engine build so the kept-mode
-//     contraction reads contiguous memory — dense weights as one
-//     (K, C_out, C_in) complex block, factorized (F-FNO) weights as one
-//     k_d-major block per axis, composed into the per-mode weight in
-//     registers while the input streams through;
+//     contraction reads contiguous memory — one (K, C_out, C_in) complex
+//     block per layer, taken from the layer's effective dense weight
+//     (SpectralLayer::dense_weight), so factorized (F-FNO) layers are served
+//     through the same pack as dense ones;
 //   * rollout drivers ping-pong between two arena prediction buffers and
 //     shift temporal channels in place.
 //
@@ -29,8 +29,8 @@
 // add-bias → add-skip → GELU rounding chain. See DESIGN.md "Inference
 // engine" for the argument.
 //
-// Reduced-precision serving (EngineOptions::precision = bf16 | fp16)
-// compresses the prepacked weights to 16-bit storage at refresh time and
+// Reduced-precision serving (EngineOptions::precision = bf16) compresses
+// the prepacked weights to 16-bit storage at refresh time and
 // widens them to fp32 inside the contraction inner loop; linear (MLP/skip)
 // weights are round-tripped through the same format but kept as fp32
 // storage for the GEMM kernels. The compressed engine keeps Tier A
@@ -181,20 +181,15 @@ class InferenceEngine {
   // 64B-aligned storage; dense spectral weights are re-laid k-major,
   //   pw[(k·co + o)·ci·2 + 2i] = W[i, o, k]
   // so the ascending-i contraction reads contiguously (the training layout
-  // strides by K per i). Factorized weights get one k_d-major block per
-  // axis with the same (o, i) inner order,
-  //   pf[d][(k_d·co + o)·ci·2 + 2i] = A_d[i, o, k_d].
-  // At bf16/fp16 the same layouts hold uint16 payloads (pw16_/pf16_) widened
-  // in the contraction inner loop.
+  // strides by K per i). Factorized layers are packed from their
+  // materialised per-mode product, so the pack always holds C_in·C_out·K
+  // complex values per layer. At bf16 the same layout holds uint16 payloads
+  // (pw16_) widened in the contraction inner loop.
   std::vector<float> wl1_, bl1_, wl2_, bl2_;
   std::vector<float> wp1_, bp1_, wp2_, bp2_;
   std::vector<std::vector<float>> wskip_, bskip_;
   std::vector<std::vector<float>> pw_;  // per layer, k-major dense weights
-  std::vector<std::vector<std::uint16_t>> pw16_;  // compressed dense
-  std::vector<std::vector<std::vector<float>>> pf_;  // [layer][axis] factors
-  std::vector<std::vector<std::vector<std::uint16_t>>> pf16_;  // compressed
-  std::vector<std::vector<index_t>> fidx_;  // [axis][flat k] → axis index
-  std::vector<index_t> fdims_;              // per-axis kept extents
+  std::vector<std::vector<std::uint16_t>> pw16_;  // compressed (bf16)
 
   // Plan state.
   bool planned_ = false;
@@ -220,7 +215,7 @@ class InferenceEngine {
   std::size_t off_win_ = 0, off_pred0_ = 0, off_pred1_ = 0;
   std::size_t off_xspec_ = 0, off_yspec_ = 0, off_work_ = 0;
   std::size_t off_twf_ = 0, off_twi_ = 0;  // rfft/irfft twiddle tables
-  std::vector<std::size_t> off_tile_, off_z_, off_line_, off_xg_;  // per slot
+  std::vector<std::size_t> off_tile_, off_xg_;  // per slot
   // Per-slot lane-interleaved scratch for batched line FFTs, sized for
   // fft::kMaxLanes so the runtime lane count (ISA- and type-dependent)
   // always fits without reallocation.

@@ -23,15 +23,9 @@ constexpr char kMagicV3[4] = {'T', 'N', 'N', '3'};
 // v3 per-parameter dtype tags (one byte between the extents and the payload).
 constexpr std::uint8_t kDtypeFp32 = 0;
 constexpr std::uint8_t kDtypeBf16 = 1;
-constexpr std::uint8_t kDtypeFp16 = 2;
 
 std::uint8_t dtype_tag(util::Precision p) {
-  switch (p) {
-    case util::Precision::kFp32: return kDtypeFp32;
-    case util::Precision::kBf16: return kDtypeBf16;
-    case util::Precision::kFp16: return kDtypeFp16;
-  }
-  return kDtypeFp32;
+  return p == util::Precision::kBf16 ? kDtypeBf16 : kDtypeFp32;
 }
 
 // Hard caps on header fields. Every one of these is far above anything a
@@ -121,10 +115,9 @@ void save_parameters_impl(const std::string& path,
     }
     const auto elems = static_cast<std::size_t>(p->value.size());
     if (v3) put_pod(dtype_tag(precision));
-    if (v3 && precision != util::Precision::kFp32) {
+    if (v3 && precision == util::Precision::kBf16) {
       compressed.resize(elems);
-      util::compress_floats(p->value.data(), compressed.data(), elems,
-                            precision);
+      util::compress_bf16(p->value.data(), compressed.data(), elems);
       put(compressed.data(), elems * sizeof(std::uint16_t));
     } else {
       put(p->value.data(), elems * sizeof(float));
@@ -213,7 +206,7 @@ void load_parameters(const std::string& path,
     std::uint8_t dtype = kDtypeFp32;
     if (v3) {
       dtype = r.read_pod<std::uint8_t>("parameter dtype");
-      if (dtype > kDtypeFp16) reject(path, "unknown dtype for " + name);
+      if (dtype > kDtypeBf16) reject(path, "unknown dtype for " + name);
     }
     const std::uint64_t elem_bytes =
         dtype == kDtypeFp32 ? sizeof(float) : sizeof(std::uint16_t);
@@ -246,10 +239,8 @@ void load_parameters(const std::string& path,
       // staging tensor (the model always holds fp32).
       std::vector<std::uint16_t> raw(static_cast<std::size_t>(elems));
       r.read(raw.data(), payload, ("payload for " + name).c_str());
-      util::decompress_floats(raw.data(), value.data(),
-                              static_cast<std::size_t>(elems),
-                              dtype == kDtypeBf16 ? util::Precision::kBf16
-                                                  : util::Precision::kFp16);
+      util::decompress_bf16(raw.data(), value.data(),
+                            static_cast<std::size_t>(elems));
     }
     staged.emplace_back(&p, std::move(value));
   }

@@ -8,9 +8,9 @@
 //
 // Format "TNN3" (written when SaveOptions are passed): identical framing,
 // plus one dtype byte per parameter between the extents and the payload
-// (0 = fp32, 1 = bf16, 2 = fp16) and the payload stored in that dtype —
-// bf16/fp16 checkpoints are half the size and deserve the same CRC + atomic
-// protection as fp32 ones. Factorized-FNO checkpoints need nothing special:
+// (0 = fp32, 1 = bf16; any other tag is rejected as corrupt) and the payload
+// stored in that dtype — bf16 checkpoints are half the size and deserve the
+// same CRC + atomic protection as fp32 ones. Factorized-FNO checkpoints need nothing special:
 // their per-axis factors are ordinary named parameters.
 //
 // Loading accepts TNN3, TNN2, and the legacy "TNN1" (TNN2 layout, no CRC);

@@ -396,10 +396,9 @@ const float* FactorizedSpectralConv::dense_weight() {
     fm[d] = wdims_[d];
   }
   float* we = w_eff_.data();
-  // Left-to-right complex product ((A₁·A₂)·A₃) — the inference engine's
-  // factorized contraction composes in the identical order (in registers,
-  // so engine agreement at fp32 is bounded rather than bitwise; see the
-  // DESIGN.md codegen caveat).
+  // Left-to-right complex product ((A₁·A₂)·A₃), rounded through memory; the
+  // inference engine packs this very buffer, so it serves the same per-mode
+  // weight bits the training forward contracts against.
   parallel_for_chunked(0, pairs, [&](index_t pb, index_t pe) {
     for (index_t p = pb; p < pe; ++p) {
       for (index_t k = 0; k < K; ++k) {

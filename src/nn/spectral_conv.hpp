@@ -9,9 +9,10 @@
 //     shared-across-layers mode. The effective per-mode weight is the
 //     product of per-axis factors,
 //       W[i, o, (k₁, …, k_r)] = A₁[i, o, k₁] · … · A_r[i, o, k_r],
-//     which cuts the parameter count from C_in·C_out·∏m_d to
-//     C_in·C_out·Σm_d complex values — the factors stay L2-resident at
-//     paper-scale mode counts where the dense weight does not.
+//     which cuts the trainable parameter count from C_in·C_out·∏m_d to
+//     C_in·C_out·Σm_d complex values. The factorization is a training-time
+//     parameterisation: the function served is still one dense weight per
+//     mode, and the inference engine packs exactly that (dense_weight()).
 //
 // Forward:  y = irfftn( W ⊙ rfftn(x) )   restricted to a retained corner of
 // Fourier modes. The effective complex weight has shape
@@ -44,8 +45,8 @@
 
 namespace turb::nn {
 
-/// Weight parameterisation of a spectral layer — the inference engine
-/// branches on this to pick the matching prepacked layout.
+/// Weight parameterisation of a spectral layer (FnoConfig::spectral_kind
+/// picks the layer class).
 enum class SpectralKind { kDense, kFactorized };
 
 /// Common machinery of both spectral layers: the kept-mode map, the pruned
@@ -66,8 +67,6 @@ class SpectralLayer : public Module {
   /// (bench_perf_train times both settings).
   static void set_pruning(bool on);
   [[nodiscard]] static bool pruning();
-
-  [[nodiscard]] virtual SpectralKind kind() const = 0;
 
   TensorF forward(const TensorF& x) final;
   TensorF backward(const TensorF& grad_out) final;
@@ -100,13 +99,15 @@ class SpectralLayer : public Module {
   [[nodiscard]] index_t spec_slab() const { return spec_slab_; }
   [[nodiscard]] const fft::ModeMask& mode_mask() const { return mode_mask_; }
 
+  /// Effective dense weight, layout (C_in, C_out, K, 2). Called once at the
+  /// top of forward() and backward(), and by the inference engine when it
+  /// packs its weights; factorized layers re-materialise the per-axis
+  /// product here, dense layers return the parameter directly. Valid until
+  /// the next call or parameter update.
+  [[nodiscard]] virtual const float* dense_weight() = 0;
+
  protected:
   using cpxf = std::complex<float>;
-
-  /// Effective dense weight, layout (C_in, C_out, K, 2). Called once at the
-  /// top of forward() and backward(); factorized layers re-materialise the
-  /// per-axis product here, dense layers return the parameter directly.
-  [[nodiscard]] virtual const float* dense_weight() = 0;
 
   /// Buffer the deterministic slab fold accumulates dW into (+=, layout as
   /// dense_weight). Dense layers hand out their parameter gradient so the
@@ -164,14 +165,11 @@ class SpectralConv final : public SpectralLayer {
                std::vector<index_t> n_modes, Rng& rng,
                std::string name = "spectral_conv");
 
-  [[nodiscard]] SpectralKind kind() const override {
-    return SpectralKind::kDense;
-  }
   void collect_parameters(std::vector<Parameter*>& out) override;
   [[nodiscard]] Parameter& weight() { return weight_; }
+  const float* dense_weight() override { return weight_.value.data(); }
 
  protected:
-  const float* dense_weight() override { return weight_.value.data(); }
   float* dense_grad_accumulator() override { return weight_.grad.data(); }
 
  private:
@@ -192,9 +190,6 @@ class FactorizedSpectralConv final : public SpectralLayer {
                          std::string name = "factorized_spectral_conv",
                          FactorizedSpectralConv* share_with = nullptr);
 
-  [[nodiscard]] SpectralKind kind() const override {
-    return SpectralKind::kFactorized;
-  }
   void collect_parameters(std::vector<Parameter*>& out) override;
 
   [[nodiscard]] std::size_t rank() const { return n_modes_.size(); }
@@ -209,8 +204,9 @@ class FactorizedSpectralConv final : public SpectralLayer {
   /// C_in·C_out·(Σ_d kept_d)·2.
   [[nodiscard]] index_t factor_parameter_count() const;
 
- protected:
   const float* dense_weight() override;
+
+ protected:
   float* dense_grad_accumulator() override;
   void finalize_grad() override;
 

@@ -66,7 +66,7 @@ struct ServeConfig {
   /// Advisory for request construction — submit() honours the request field.
   index_t ensemble_k = 1;
   /// Weight precision for every pooled engine (fp32 = bitwise-vs-training;
-  /// bf16/fp16 = error-bounded, see DESIGN.md "Precision tiers").
+  /// bf16 = error-bounded, see DESIGN.md "Precision tiers").
   util::Precision precision = util::Precision::kFp32;
   /// Populated from the --serve-max-sessions / --serve-queue-cap /
   /// --serve-batch-window / --serve-ensemble-k / --serve-precision runtime

@@ -5,6 +5,7 @@
 #include "obs/obs.hpp"
 #include "util/common.hpp"
 #include "util/isa.hpp"
+#include "util/precision.hpp"
 #include "util/thread_pool.hpp"
 
 namespace turb {
@@ -88,13 +89,16 @@ void apply_runtime_flags(const CliArgs& args) {
   serve_knob("serve-batch-window", &g_serve_options.batch_window);
   serve_knob("serve-ensemble-k", &g_serve_options.ensemble_k);
 
-  // Precision: flag wins, TURBFNO_PRECISION env is the fallback. Validation
-  // (the fp32|bf16|fp16 vocabulary) happens at parse time in ServeConfig so
-  // a typo fails loudly where the engine is built, not silently here.
-  if (args.has("serve-precision")) {
-    g_serve_options.precision = args.get("serve-precision", "fp32");
-  } else if (const char* env = std::getenv("TURBFNO_PRECISION")) {
-    if (env[0] != '\0') g_serve_options.precision = env;
+  // Precision: flag wins, TURBFNO_PRECISION env is the fallback. The spec
+  // is validated here (parse_precision throws, naming the fp32 | bf16
+  // vocabulary) so a typo or a retired tier fails where the flag is applied.
+  const char* env = std::getenv("TURBFNO_PRECISION");
+  if (args.has("serve-precision") || (env != nullptr && env[0] != '\0')) {
+    const std::string spec = args.has("serve-precision")
+                                 ? args.get("serve-precision", "")
+                                 : std::string(env);
+    static_cast<void>(util::parse_precision(spec));
+    g_serve_options.precision = spec;
   }
 }
 

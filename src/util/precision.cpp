@@ -13,7 +13,6 @@ const char* precision_name(Precision p) noexcept {
   switch (p) {
     case Precision::kFp32: return "fp32";
     case Precision::kBf16: return "bf16";
-    case Precision::kFp16: return "fp16";
   }
   return "?";
 }
@@ -21,45 +20,9 @@ const char* precision_name(Precision p) noexcept {
 Precision parse_precision(const std::string& spec) {
   if (spec == "fp32") return Precision::kFp32;
   if (spec == "bf16") return Precision::kBf16;
-  if (spec == "fp16") return Precision::kFp16;
   TURB_CHECK_MSG(false, "unknown precision '" << spec
-                        << "' (expected fp32 | bf16 | fp16)");
+                        << "' (expected fp32 | bf16)");
   return Precision::kFp32;  // unreachable
-}
-
-std::uint16_t float_to_fp16(float v) noexcept {
-  const std::uint32_t x = std::bit_cast<std::uint32_t>(v);
-  const auto sign = static_cast<std::uint16_t>((x >> 16) & 0x8000u);
-  const std::uint32_t abs = x & 0x7FFFFFFFu;
-  if (abs >= 0x7F800000u) {  // inf / NaN (NaNs quieted)
-    const auto man = static_cast<std::uint16_t>(
-        (abs & 0x007FFFFFu) != 0u ? 0x0200u : 0u);
-    return static_cast<std::uint16_t>(sign | 0x7C00u | man);
-  }
-  // 65520 = halfway between fp16 max (65504) and 2¹⁶; RNE sends it (and
-  // everything above) to ±inf.
-  if (abs >= 0x477FF000u) return static_cast<std::uint16_t>(sign | 0x7C00u);
-  if (abs >= 0x38800000u) {  // normal fp16 range
-    const std::uint32_t mant = abs & 0x007FFFFFu;
-    const std::uint32_t exp = (abs >> 23) - 112u;  // rebias 127 → 15
-    std::uint32_t h = (exp << 10) | (mant >> 13);
-    const std::uint32_t rem = mant & 0x1FFFu;
-    // Round to nearest even on the 13 dropped bits; a carry propagating into
-    // the exponent is correct because adjacent binades are contiguous.
-    h += static_cast<std::uint32_t>((rem > 0x1000u) ||
-                                    (rem == 0x1000u && (h & 1u) != 0u));
-    return static_cast<std::uint16_t>(sign | h);
-  }
-  if (abs < 0x33000000u) return sign;  // below 2⁻²⁵: underflows to ±0
-  // Subnormal: h = round(mant24 · 2^(e-126)) in units of 2⁻²⁴.
-  const std::uint32_t mant = (abs & 0x007FFFFFu) | 0x00800000u;
-  const std::uint32_t shift = 126u - (abs >> 23);  // 14..24
-  std::uint32_t h = mant >> shift;
-  const std::uint32_t rembits = mant & ((1u << shift) - 1u);
-  const std::uint32_t halfway = 1u << (shift - 1u);
-  h += static_cast<std::uint32_t>((rembits > halfway) ||
-                                  (rembits == halfway && (h & 1u) != 0u));
-  return static_cast<std::uint16_t>(sign | h);
 }
 
 namespace {
@@ -132,52 +95,29 @@ void decompress_bf16_scalar(const std::uint16_t* src, float* dst,
 
 }  // namespace
 
-void compress_floats(const float* src, std::uint16_t* dst, std::size_t n,
-                     Precision p) {
-  TURB_CHECK_MSG(p != Precision::kFp32,
-                 "compress_floats: fp32 payloads are not stored as uint16");
-  if (p == Precision::kBf16) {
+void compress_bf16(const float* src, std::uint16_t* dst, std::size_t n) {
 #ifdef TURBFNO_HAS_AVX2_PRECISION
-    if (active_isa() == Isa::kAvx2) {
-      compress_bf16_avx2(src, dst, n);
-      return;
-    }
-#endif
-    compress_bf16_scalar(src, dst, n);
+  if (active_isa() == Isa::kAvx2) {
+    compress_bf16_avx2(src, dst, n);
     return;
   }
-  // fp16: scalar only — the conversion is exercised at plan/checkpoint time,
-  // never per forward, so a vector path buys nothing.
-  for (std::size_t i = 0; i < n; ++i) dst[i] = float_to_fp16(src[i]);
+#endif
+  compress_bf16_scalar(src, dst, n);
 }
 
-void decompress_floats(const std::uint16_t* src, float* dst, std::size_t n,
-                       Precision p) {
-  TURB_CHECK_MSG(p != Precision::kFp32,
-                 "decompress_floats: fp32 payloads are not stored as uint16");
-  if (p == Precision::kBf16) {
+void decompress_bf16(const std::uint16_t* src, float* dst, std::size_t n) {
 #ifdef TURBFNO_HAS_AVX2_PRECISION
-    if (active_isa() == Isa::kAvx2) {
-      decompress_bf16_avx2(src, dst, n);
-      return;
-    }
-#endif
-    decompress_bf16_scalar(src, dst, n);
+  if (active_isa() == Isa::kAvx2) {
+    decompress_bf16_avx2(src, dst, n);
     return;
   }
-  for (std::size_t i = 0; i < n; ++i) dst[i] = fp16_to_float(src[i]);
+#endif
+  decompress_bf16_scalar(src, dst, n);
 }
 
-void quantize_floats(float* data, std::size_t n, Precision p) {
-  if (p == Precision::kFp32) return;
-  if (p == Precision::kBf16) {
-    for (std::size_t i = 0; i < n; ++i) {
-      data[i] = bf16_to_float(float_to_bf16(data[i]));
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      data[i] = fp16_to_float(float_to_fp16(data[i]));
-    }
+void quantize_bf16(float* data, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    data[i] = bf16_to_float(float_to_bf16(data[i]));
   }
 }
 

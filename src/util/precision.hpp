@@ -1,28 +1,22 @@
-// Reduced-precision storage formats for the weight-compressed serving path.
+// Reduced-precision storage format for the weight-compressed serving path.
 //
-// Training is fp32 everywhere; at engine plan time the spectral (and
-// factorized) weights can be compressed to bf16 or fp16 and widened back to
-// fp32 inside the contraction inner loop. This file owns the storage-format
-// definitions and conversions:
+// Training is fp32 everywhere; at engine plan time the spectral weights can
+// be compressed to bf16 and widened back to fp32 inside the contraction
+// inner loop. bf16 is the top 16 bits of an IEEE fp32 (8 exponent / 7
+// mantissa bits), compressed with round-to-nearest-even on the dropped 16
+// bits and widened by a single left shift: ~2.8 decimal digits, relative
+// error per weight ≤ 2⁻⁸, and fp32's full exponent range — no finite weight
+// overflows or underflows when it is compressed. bf16 is the only 16-bit
+// tier (an IEEE binary16 tier was measured no faster than fp32 and, with
+// its ±65504 range, could overflow).
 //
-//   * bf16 — the top 16 bits of an IEEE fp32 (8 exponent / 7 mantissa bits),
-//     compressed with round-to-nearest-even on the dropped 16 bits and
-//     widened by a single left shift. ~2.8 decimal digits; relative error
-//     per weight ≤ 2⁻⁸.
-//   * fp16 — IEEE binary16 (5 exponent / 10 mantissa bits), software
-//     converted (F16C is not assumed) with round-to-nearest-even,
-//     gradual underflow, and overflow to ±inf. Relative error per normal
-//     weight ≤ 2⁻¹¹, but dynamic range is only ±65504.
-//
-// Both conversions are exact, deterministic bit manipulations — identical
+// The conversion is an exact, deterministic bit manipulation — identical
 // results on every ISA tier — so compressed engines keep Tier A (bitwise
-// within a fixed ISA) determinism; only the fp32 ↔ compressed comparison is
+// within a fixed ISA) determinism; only the fp32 ↔ bf16 comparison is
 // error-bounded (DESIGN.md "Precision tiers").
 //
-// The bulk entry points dispatch on util::active_isa(): bf16 has AVX2
-// vector paths (bit-identical to the scalar ones — the rounding is integer
-// arithmetic), fp16's scalar conversion runs everywhere (it is plan-time
-// only, never on the per-forward hot path).
+// The bulk entry points dispatch on util::active_isa(): AVX2 vector paths
+// bit-identical to the scalar ones (the rounding is integer arithmetic).
 #pragma once
 
 #include <bit>
@@ -34,13 +28,14 @@
 namespace turb::util {
 
 /// Storage precision of engine-prepacked weights. kFp32 is the bitwise
-/// serving tier; kBf16/kFp16 trade bounded relative error for a halved
-/// weight working set.
-enum class Precision : int { kFp32 = 0, kBf16 = 1, kFp16 = 2 };
+/// serving tier; kBf16 trades bounded relative error for a halved weight
+/// working set.
+enum class Precision : int { kFp32 = 0, kBf16 = 1 };
 
 [[nodiscard]] const char* precision_name(Precision p) noexcept;
 
-/// Parse "fp32" | "bf16" | "fp16" (throws CheckError on anything else).
+/// Parse "fp32" | "bf16" (throws CheckError, naming the accepted values, on
+/// anything else).
 [[nodiscard]] Precision parse_precision(const std::string& spec);
 
 /// fp32 → bf16 with round-to-nearest-even; NaNs are quieted, infinities and
@@ -58,57 +53,15 @@ enum class Precision : int { kFp32 = 0, kBf16 = 1, kFp16 = 2 };
   return std::bit_cast<float>(static_cast<std::uint32_t>(b) << 16);
 }
 
-/// fp32 → IEEE binary16 with round-to-nearest-even, gradual underflow, and
-/// overflow to ±inf; NaNs are quieted.
-[[nodiscard]] std::uint16_t float_to_fp16(float v) noexcept;
+/// Bulk fp32 → bf16. Dispatches on util::active_isa(); every tier produces
+/// identical bytes (the rounding is exact integer arithmetic).
+void compress_bf16(const float* src, std::uint16_t* dst, std::size_t n);
 
-/// IEEE binary16 → fp32, exact (every fp16 value is representable). Inline:
-/// this is the widening the compressed contraction runs per weight element.
-[[nodiscard]] inline float fp16_to_float(std::uint16_t h) noexcept {
-  const std::uint32_t sign = static_cast<std::uint32_t>(h & 0x8000u) << 16;
-  std::uint32_t exp = (h >> 10) & 0x1Fu;
-  std::uint32_t man = h & 0x03FFu;
-  std::uint32_t bits;
-  if (exp == 0u) {
-    if (man == 0u) {
-      bits = sign;  // ±0
-    } else {
-      // Subnormal: renormalise the mantissa into fp32's hidden-bit form.
-      int shift = 0;
-      while ((man & 0x0400u) == 0u) {
-        man <<= 1;
-        ++shift;
-      }
-      man &= 0x03FFu;
-      bits = sign |
-             ((static_cast<std::uint32_t>(127 - 15 - shift)) << 23) |
-             (man << 13);
-    }
-  } else if (exp == 31u) {
-    bits = sign | 0x7F800000u | (man << 13);  // inf / NaN
-  } else {
-    bits = sign | ((exp - 15u + 127u) << 23) | (man << 13);
-  }
-  return std::bit_cast<float>(bits);
-}
+/// Bulk bf16 → fp32 (exact widening).
+void decompress_bf16(const std::uint16_t* src, float* dst, std::size_t n);
 
-/// Widen one stored element back to fp32 (kFp32 is invalid here — fp32
-/// payloads are never stored as uint16).
-[[nodiscard]] inline float widen(std::uint16_t v, Precision p) noexcept {
-  return p == Precision::kBf16 ? bf16_to_float(v) : fp16_to_float(v);
-}
-
-/// Bulk fp32 → compressed. Dispatches on util::active_isa(); every tier
-/// produces identical bytes (the rounding is exact integer arithmetic).
-void compress_floats(const float* src, std::uint16_t* dst, std::size_t n,
-                     Precision p);
-
-/// Bulk compressed → fp32 (exact widening).
-void decompress_floats(const std::uint16_t* src, float* dst, std::size_t n,
-                       Precision p);
-
-/// Round-trip fp32 → compressed → fp32 in place: the values an engine or
-/// checkpoint at precision `p` will actually serve. No-op for kFp32.
-void quantize_floats(float* data, std::size_t n, Precision p);
+/// Round-trip fp32 → bf16 → fp32 in place: the values a bf16 engine or
+/// checkpoint will actually serve.
+void quantize_bf16(float* data, std::size_t n);
 
 }  // namespace turb::util

@@ -610,9 +610,10 @@ TEST(FftPruned, MaskShapeMismatchRejected) {
 // how many other lines share its batch or which lane it lands in. Checked at
 // the plan level (forward_batch/inverse_batch against per-line forward/inverse
 // at lane counts 1, B-1, B, B+1) and through the drivers (c2c_axis and
-// rfftn/irfftn with line batching toggled, line counts 1, B-1, B, B+1, 3B+2,
-// pruned and unpruned, pool widths 1/2/4), for f32 and f64, on every ISA tier
-// the host supports. B is the tier's lane count.
+// rfftn/irfftn against a per-line reference the test assembles from
+// PlanC2C::forward/inverse and single-row rfft/irfft, line counts 1, B-1, B,
+// B+1, 3B+2, pruned and unpruned, pool widths 1/2/4), for f32 and f64, on
+// every ISA tier the host supports. B is the tier's lane count.
 
 /// Line counts that exercise full batches and every ragged-tail shape.
 template <typename T>
@@ -689,6 +690,33 @@ TEST(FftBatched, PlanBatchMatchesSingleBitwiseAvx2) {
   expect_plan_batch_bitwise<double>();
 }
 
+/// Per-line reference for a c2c transform along axis 1 of an (outer, n,
+/// inner) tensor: each kept line is gathered, transformed alone by the
+/// plan's single-line forward()/inverse(), and scattered back; lines whose
+/// inner coordinate `keep` prunes are left untouched.
+template <typename T>
+void reference_c2c_axis1(Tensor<std::complex<T>>& x, bool forward,
+                         const std::vector<std::uint8_t>* keep) {
+  const index_t outer = x.shape()[0], n = x.shape()[1], inner = x.shape()[2];
+  const PlanC2C<T> plan(n);
+  std::vector<std::complex<T>> line(static_cast<std::size_t>(n));
+  for (index_t o = 0; o < outer; ++o) {
+    for (index_t i = 0; i < inner; ++i) {
+      if (keep != nullptr && (*keep)[static_cast<std::size_t>(i)] == 0) {
+        continue;
+      }
+      std::complex<T>* base = x.data() + o * n * inner + i;
+      for (index_t j = 0; j < n; ++j) {
+        line[static_cast<std::size_t>(j)] = base[j * inner];
+      }
+      forward ? plan.forward(line.data()) : plan.inverse(line.data());
+      for (index_t j = 0; j < n; ++j) {
+        base[j * inner] = line[static_cast<std::size_t>(j)];
+      }
+    }
+  }
+}
+
 template <typename T>
 void expect_c2c_batch_bitwise() {
   using cpx = std::complex<T>;
@@ -709,18 +737,12 @@ void expect_c2c_batch_bitwise() {
            {static_cast<const std::vector<std::uint8_t>*>(nullptr),
             static_cast<const std::vector<std::uint8_t>*>(&keep)}) {
         for (const bool forward : {true, false}) {
+          Tensor<cpx> ref = x;
+          reference_c2c_axis1(ref, forward, kp);
           for (const std::size_t width : kWidths) {
             ThreadPool::Scope scope(width);
-            Tensor<cpx> ref = x;
-            {
-              ScopedLineBatching off(false);
-              c2c_axis(ref, 1, forward, kp);
-            }
             Tensor<cpx> bat = x;
-            {
-              ScopedLineBatching on(true);
-              c2c_axis(bat, 1, forward, kp);
-            }
+            c2c_axis(bat, 1, forward, kp);
             for (index_t i = 0; i < ref.size(); ++i) {
               ASSERT_EQ(bat[i].real(), ref[i].real())
                   << "n=" << n << " nlines=" << nlines << " width=" << width
@@ -753,34 +775,57 @@ template <typename T>
 void expect_real_batch_bitwise() {
   using cpx = std::complex<T>;
   constexpr index_t kNLast = 16;
+  constexpr index_t kBins = kNLast / 2 + 1;
+  constexpr index_t kC2c = 12;  // Bluestein c2c axis
   for (const index_t nlines : ragged_line_counts<T>()) {
     Rng rng(70 + static_cast<std::uint64_t>(nlines));
     // 2-D transform: `nlines` rfft rows over a Bluestein c2c axis. The
     // corner mask prunes lines on the c2c axis and bins on the rfft axis.
-    Tensor<T> x({nlines, 12, kNLast});
+    Tensor<T> x({nlines, kC2c, kNLast});
     for (index_t i = 0; i < x.size(); ++i) {
       x[i] = static_cast<T>(rng.normal());
     }
     const ModeMask mask = corner_mask(x.shape(), 2, {6, 6});
     for (const ModeMask* mp : {static_cast<const ModeMask*>(nullptr), &mask}) {
+      // Per-line reference, forward: single-row rfft of every row (skipping
+      // the masked bins), then the c2c axis line by line with the rfft-axis
+      // mask pruning whole lines — the rfftn_into stage order.
+      const std::uint8_t* keep_bins = mp == nullptr ? nullptr : (*mp)[1].data();
+      const std::vector<std::uint8_t>* line_keep =
+          mp == nullptr ? nullptr : &(*mp)[1];
+      Tensor<cpx> spec_ref({nlines, kC2c, kBins});
+      for (index_t r = 0; r < nlines * kC2c; ++r) {
+        rfft(x.data() + r * kNLast, spec_ref.data() + r * kBins, kNLast,
+             keep_bins);
+      }
+      reference_c2c_axis1(spec_ref, /*forward=*/true, line_keep);
+      // Inverse input: a corner spectrum (zero outside the kept set) so
+      // pruned irfftn is bitwise-defined everywhere.
+      Tensor<cpx> spec = spec_ref;
+      if (mp != nullptr) {
+        for (index_t i = 0; i < spec.size(); ++i) {
+          if (!coord_kept(*mp, spec.shape(), 2, i % (kC2c * kBins))) {
+            spec[i] = {};
+          }
+        }
+      }
+      // Per-line reference, inverse: the c2c axis line by line, then a
+      // single-row irfft of every row.
+      Tensor<cpx> work = spec;
+      reference_c2c_axis1(work, /*forward=*/false, line_keep);
+      Tensor<T> back_ref({nlines, kC2c, kNLast});
+      for (index_t r = 0; r < nlines * kC2c; ++r) {
+        irfft(work.data() + r * kBins, back_ref.data() + r * kNLast, kNLast);
+      }
       for (const std::size_t width : kWidths) {
         ThreadPool::Scope scope(width);
-        const auto spec_ref = [&] {
-          ScopedLineBatching off(false);
-          return rfftn(x, 2, mp);
-        }();
-        const auto spec_bat = [&] {
-          ScopedLineBatching on(true);
-          return rfftn(x, 2, mp);
-        }();
+        const auto spec_bat = rfftn(x, 2, mp);
         ASSERT_EQ(spec_bat.shape(), spec_ref.shape());
-        const index_t spec_block =
-            spec_ref.shape()[1] * spec_ref.shape()[2];
         for (index_t i = 0; i < spec_ref.size(); ++i) {
           // Pruned rfftn leaves unkept coordinates unspecified; compare the
           // kept set only (everything when unmasked).
           if (mp != nullptr &&
-              !coord_kept(*mp, spec_ref.shape(), 2, i % spec_block)) {
+              !coord_kept(*mp, spec_ref.shape(), 2, i % (kC2c * kBins))) {
             continue;
           }
           ASSERT_EQ(spec_bat[i].real(), spec_ref[i].real())
@@ -790,24 +835,7 @@ void expect_real_batch_bitwise() {
               << "nlines=" << nlines << " width=" << width
               << " masked=" << (mp != nullptr) << " i=" << i;
         }
-        // Inverse: corner spectrum (zero outside the kept set) so pruned
-        // irfftn is bitwise-defined everywhere.
-        Tensor<cpx> spec = spec_ref;
-        if (mp != nullptr) {
-          for (index_t i = 0; i < spec.size(); ++i) {
-            if (!coord_kept(*mp, spec.shape(), 2, i % spec_block)) {
-              spec[i] = {};
-            }
-          }
-        }
-        const auto back_ref = [&] {
-          ScopedLineBatching off(false);
-          return irfftn(spec, 2, kNLast, mp);
-        }();
-        const auto back_bat = [&] {
-          ScopedLineBatching on(true);
-          return irfftn(spec, 2, kNLast, mp);
-        }();
+        const auto back_bat = irfftn(spec, 2, kNLast, mp);
         ASSERT_EQ(back_bat.shape(), back_ref.shape());
         for (index_t i = 0; i < back_ref.size(); ++i) {
           ASSERT_EQ(back_bat[i], back_ref[i])
@@ -833,23 +861,23 @@ TEST(FftBatched, RfftnIrfftnBatchedMatchesPerLineBitwiseAvx2) {
 }
 
 TEST(FftBatched, BatchedLineCountersAdvance) {
+  // Real rows always run in blocks of up to B (on the scalar tier too), so
+  // every row of a 3B+2-row rfftn counts as batched.
   util::ScopedIsa forced(util::Isa::kScalar);
-  ScopedLineBatching on(true);
   auto& batched = obs::counter("fft/batched_lines");
   auto& tails = obs::counter("fft/batch_tail_lines");
   const auto batched0 = batched.value();
   const auto tails0 = tails.value();
   const index_t b = lane_count<double>(util::Isa::kScalar);
-  Tensor<std::complex<double>> x({1, 16, 3 * b + 2});
+  Tensor<double> x({3 * b + 2, 16});
   Rng rng(81);
-  for (index_t i = 0; i < x.size(); ++i) x[i] = {rng.normal(), rng.normal()};
+  for (index_t i = 0; i < x.size(); ++i) x[i] = rng.normal();
   {
     ThreadPool::Scope scope(1);
-    c2c_axis(x, 1, /*forward=*/true);
+    (void)rfftn(x, 1);
   }
-  EXPECT_GT(batched.value() - batched0, 0);
-  // 3B+2 total lines: however the range is chunked, at least one flush group
-  // is ragged, so the tail counter must advance too.
+  EXPECT_EQ(batched.value() - batched0, 3 * b + 2);
+  // However the range is chunked, at least one block is ragged.
   EXPECT_GT(tails.value() - tails0, 0);
 }
 

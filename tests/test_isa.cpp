@@ -22,11 +22,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <complex>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "fft/plan.hpp"
@@ -38,6 +40,7 @@
 #include "tensor/gemm.hpp"
 #include "tensor/tensor.hpp"
 #include "util/isa.hpp"
+#include "util/precision.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -653,6 +656,42 @@ TEST(IsaTierA, RfftnBitwiseAcrossThreadsScalar) {
 TEST(IsaTierA, RfftnBitwiseAcrossThreadsAvx2) {
   SKIP_WITHOUT_AVX2();
   check_rfftn_thread_invariance(util::Isa::kAvx2);
+}
+
+/// The bf16 bulk conversions are exact integer arithmetic, so the avx2 and
+/// scalar tiers must produce identical bytes — ragged tails, round-to-even
+/// ties, NaN quieting, infinities, zeros and subnormals included.
+TEST(IsaTierA, Bf16BulkConversionIdenticalAcrossIsas) {
+  SKIP_WITHOUT_AVX2();
+  std::vector<float> src = {0.0f,
+                            -0.0f,
+                            1.0f,
+                            std::bit_cast<float>(0x3F808000u),  // tie, even
+                            std::bit_cast<float>(0x3F818000u),  // tie, odd
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN(),
+                            std::bit_cast<float>(0x7F800001u),  // sNaN
+                            std::numeric_limits<float>::denorm_min(),
+                            std::numeric_limits<float>::max()};
+  Rng rng(91);
+  while (src.size() < 37) src.push_back(static_cast<float>(rng.normal()));
+  const auto convert = [&src](util::Isa isa) {
+    util::ScopedIsa forced(isa);
+    std::vector<std::uint16_t> packed(src.size());
+    util::compress_bf16(src.data(), packed.data(), src.size());
+    std::vector<float> widened(src.size());
+    util::decompress_bf16(packed.data(), widened.data(), src.size());
+    return std::make_pair(packed, widened);
+  };
+  const auto [p_scalar, w_scalar] = convert(util::Isa::kScalar);
+  const auto [p_avx2, w_avx2] = convert(util::Isa::kAvx2);
+  EXPECT_EQ(p_scalar, p_avx2);
+  ASSERT_EQ(0, std::memcmp(w_scalar.data(), w_avx2.data(),
+                           w_scalar.size() * sizeof(float)));
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    EXPECT_EQ(p_scalar[i], util::float_to_bf16(src[i])) << "i=" << i;
+  }
 }
 
 }  // namespace

@@ -141,32 +141,25 @@ TEST(RobustSerialize, V3Fp32RoundTripExactAndMagic) {
 }
 
 TEST(RobustSerialize, V3CompressedRoundTripIsQuantizedExactly) {
-  // bf16/fp16 payloads load back as exactly the RNE-rounded values — the
+  // bf16 payloads load back as exactly the RNE-rounded values — the
   // quantization happens once at save time, not again at load time.
-  for (const util::Precision prec :
-       {util::Precision::kBf16, util::Precision::kFp16}) {
-    Rng rng(51);
-    nn::Linear a(3, 4, rng), b(3, 4, rng);
-    const std::string path = temp_path("robust_v3_c.tnn");
-    nn::SaveOptions opts;
-    opts.precision = prec;
-    nn::save_parameters(path, a.parameters(), {}, opts);
-    EXPECT_EQ(read_bytes(path).substr(0, 4), "TNN3");
-    nn::load_parameters(path, b.parameters());
-    for (index_t i = 0; i < a.weight().value.size(); ++i) {
-      const float x = a.weight().value[i];
-      const float expected =
-          prec == util::Precision::kBf16
-              ? util::bf16_to_float(util::float_to_bf16(x))
-              : util::fp16_to_float(util::float_to_fp16(x));
-      ASSERT_EQ(expected, b.weight().value[i])
-          << util::precision_name(prec) << " i=" << i;
-      if (x != expected) {
-        ASSERT_NE(x, b.weight().value[i]);  // quantization really happened
-      }
+  Rng rng(51);
+  nn::Linear a(3, 4, rng), b(3, 4, rng);
+  const std::string path = temp_path("robust_v3_c.tnn");
+  nn::SaveOptions opts;
+  opts.precision = util::Precision::kBf16;
+  nn::save_parameters(path, a.parameters(), {}, opts);
+  EXPECT_EQ(read_bytes(path).substr(0, 4), "TNN3");
+  nn::load_parameters(path, b.parameters());
+  for (index_t i = 0; i < a.weight().value.size(); ++i) {
+    const float x = a.weight().value[i];
+    const float expected = util::bf16_to_float(util::float_to_bf16(x));
+    ASSERT_EQ(expected, b.weight().value[i]) << "i=" << i;
+    if (x != expected) {
+      ASSERT_NE(x, b.weight().value[i]);  // quantization really happened
     }
-    std::remove(path.c_str());
   }
+  std::remove(path.c_str());
 }
 
 TEST(RobustSerialize, V3FactorizedModelRoundTrip) {
@@ -202,10 +195,11 @@ TEST(RobustSerialize, V3FactorizedModelRoundTrip) {
   std::remove(path.c_str());
 }
 
-TEST(RobustSerialize, V3UnknownDtypeRejected) {
-  Rng rng(54);
-  nn::Linear a(2, 2, rng);
-  const std::string path = temp_path("robust_v3_dtype.tnn");
+/// Save `a` as a bf16 TNN3 file at `path`, overwrite the first parameter's
+/// dtype byte with `tag`, and re-stamp the trailing CRC so the corruption
+/// reaches the dtype check instead of tripping the checksum gate.
+void write_v3_with_dtype(nn::Linear& a, const std::string& path,
+                         std::uint8_t tag) {
   nn::SaveOptions opts;
   opts.precision = util::Precision::kBf16;
   nn::save_parameters(path, a.parameters(), {}, opts);
@@ -216,15 +210,48 @@ TEST(RobustSerialize, V3UnknownDtypeRejected) {
   const std::string& name = a.parameters()[0]->name;
   const std::size_t pos = 4 + 4 + 4 + name.size() + 4 + 8 * 2;
   ASSERT_LT(pos, bytes.size());
-  bytes[pos] = 7;  // not a known dtype tag
-  // Re-stamp the trailing CRC so the corruption reaches the dtype check
-  // instead of tripping the checksum gate.
+  bytes[pos] = static_cast<char>(tag);
   const std::uint32_t crc =
       util::crc32(bytes.data() + 4, bytes.size() - 4 - 4);
   std::memcpy(bytes.data() + bytes.size() - 4, &crc, 4);
   write_bytes(path, bytes);
+}
+
+TEST(RobustSerialize, V3UnknownDtypeRejected) {
+  Rng rng(54);
+  nn::Linear a(2, 2, rng);
+  const std::string path = temp_path("robust_v3_dtype.tnn");
+  write_v3_with_dtype(a, path, 7);  // not a known dtype tag
   nn::Linear b(2, 2, rng);
   EXPECT_THROW(nn::load_parameters(path, b.parameters()), CheckError);
+  std::remove(path.c_str());
+}
+
+TEST(RobustSerialize, V3RetiredFp16DtypeRejectedTransactionally) {
+  // Tag 2 once meant an IEEE binary16 payload; bf16 is the only 16-bit tier
+  // now, so the tag is corrupt: the load is rejected with a reason, counted,
+  // and leaves the model untouched.
+  Rng rng(57);
+  nn::Linear a(2, 2, rng), b(2, 2, rng);
+  const std::string path = temp_path("robust_v3_fp16.tnn");
+  write_v3_with_dtype(a, path, 2);
+  const std::vector<float> before(
+      b.weight().value.data(),
+      b.weight().value.data() + b.weight().value.size());
+  auto& rejected = obs::counter("robust/corrupt_rejected");
+  const auto rejected0 = rejected.value();
+  try {
+    nn::load_parameters(path, b.parameters());
+    ADD_FAILURE() << "a dtype-2 (fp16) payload was accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown dtype"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(rejected.value() - rejected0, 1);
+  for (index_t i = 0; i < b.weight().value.size(); ++i) {
+    ASSERT_EQ(b.weight().value[i], before[static_cast<std::size_t>(i)])
+        << "failed load mutated the model";
+  }
   std::remove(path.c_str());
 }
 
@@ -303,7 +330,7 @@ TEST(RobustSerialize, V3EveryBitFlipRejected) {
   nn::Linear a(2, 3, rng), scratch(2, 3, rng);
   const std::string path = temp_path("robust_flip_v3.tnn");
   nn::SaveOptions opts;
-  opts.precision = util::Precision::kFp16;
+  opts.precision = util::Precision::kBf16;
   nn::save_parameters(path, a.parameters(), {{"k", 2.0}}, opts);
   const std::string good = read_bytes(path);
 
@@ -814,6 +841,93 @@ TEST(RolloutGuardTest, GuardedPureFnoRequiresCooldown) {
   EXPECT_THROW(core::HybridScheduler(fno_stub, pde, cfg), CheckError);
   cfg.guard.cooldown_snapshots = 2;
   EXPECT_NO_THROW(core::HybridScheduler(fno_stub, pde, cfg));
+}
+
+/// Wraps a propagator and poisons every snapshot of exactly one advance()
+/// call (0-based `bad_call`) with a NaN; every other call passes through.
+class PoisonOneCall final : public core::Propagator {
+ public:
+  PoisonOneCall(core::Propagator& inner, index_t bad_call)
+      : inner_(&inner), bad_call_(bad_call) {}
+
+  std::vector<core::FieldSnapshot> advance(const core::History& history,
+                                           index_t count) override {
+    std::vector<core::FieldSnapshot> out = inner_->advance(history, count);
+    if (calls_++ == bad_call_) {
+      for (core::FieldSnapshot& snap : out) {
+        snap.u1[0] = std::numeric_limits<double>::quiet_NaN();
+      }
+    }
+    return out;
+  }
+  [[nodiscard]] double dt_snap() const override { return inner_->dt_snap(); }
+  [[nodiscard]] index_t min_history() const override {
+    return inner_->min_history();
+  }
+  [[nodiscard]] std::string name() const override { return "poisoned"; }
+
+ private:
+  core::Propagator* inner_;
+  index_t bad_call_;
+  index_t calls_ = 0;
+};
+
+TEST(RolloutGuardTest, PlainStreamCooldownLongerThanWindowIsOneAdvance) {
+  // A plain (non-alternating) guarded stream whose cool-down is longer than
+  // its primary window: the cool-down is one fallback advance() of its full
+  // length from the last accepted state, after which the primary resumes.
+  constexpr index_t kWindow = 3;
+  constexpr index_t kCooldown = 7;
+  core::PdePropagator inner(make_solver(), kDtSnap);
+  PoisonOneCall primary(inner, /*bad_call=*/1);
+  core::PdePropagator fallback(make_solver(), kDtSnap);
+
+  core::RolloutRequest req;
+  req.seed = make_seed(1);
+  req.steps = 2 * kWindow + kCooldown;
+  req.window = kWindow;
+  req.guard.enabled = true;
+  req.guard.cooldown_snapshots = kCooldown;
+
+  const std::int64_t windows0 = obs::counter("robust/fallback_windows").value();
+  const std::int64_t snaps0 =
+      obs::counter("robust/fallback_snapshots").value();
+  const core::RolloutResult result =
+      core::run_rollout(primary, req, &fallback);
+
+  ASSERT_EQ(result.trajectory.size(),
+            static_cast<std::size_t>(2 * kWindow + kCooldown));
+  ASSERT_EQ(result.guard_trips(), 1);
+  EXPECT_EQ(result.guard_events.front().trajectory_index, kWindow);
+  EXPECT_EQ(obs::counter("robust/fallback_windows").value() - windows0, 1);
+  EXPECT_EQ(obs::counter("robust/fallback_snapshots").value() - snaps0,
+            kCooldown);
+  for (index_t k = 0; k < req.steps; ++k) {
+    const bool cooling = k >= kWindow && k < kWindow + kCooldown;
+    EXPECT_EQ(result.producer[static_cast<std::size_t>(k)],
+              cooling ? "pde_fallback" : "poisoned")
+        << "snapshot " << k;
+  }
+
+  // Reference: one advance(kCooldown) of a fresh PDE propagator from the
+  // seed plus the accepted first window.
+  core::History accepted = make_seed(1);
+  for (index_t k = 0; k < kWindow; ++k) {
+    accepted.push_back(result.trajectory[static_cast<std::size_t>(k)]);
+  }
+  core::PdePropagator reference(make_solver(), kDtSnap);
+  const std::vector<core::FieldSnapshot> want =
+      reference.advance(accepted, kCooldown);
+  for (index_t k = 0; k < kCooldown; ++k) {
+    const core::FieldSnapshot& got =
+        result.trajectory[static_cast<std::size_t>(kWindow + k)];
+    const core::FieldSnapshot& ref = want[static_cast<std::size_t>(k)];
+    ASSERT_EQ(got.t, ref.t) << "cool-down snapshot " << k;
+    for (index_t i = 0; i < ref.u1.size(); ++i) {
+      ASSERT_EQ(got.u1[i], ref.u1[i]) << "cool-down snapshot " << k;
+      ASSERT_EQ(got.u2[i], ref.u2[i]) << "cool-down snapshot " << k;
+    }
+  }
 }
 
 TEST(RunSingle, EmptySeedRejected) {

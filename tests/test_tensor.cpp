@@ -313,7 +313,7 @@ TEST(Gemm, NtPanelBitEqualsScalar) {
   // n straddles the 8-wide panel: below (5), exact (8, 16), panel+tail
   // (9, 23, 33); k odd/even exercises the unroll-2 remainder.
   bool bitwise = true;
-  for (const auto [m, n, k] :
+  for (const auto& [m, n, k] :
        {std::tuple<index_t, index_t, index_t>{1, 5, 7},
         {3, 8, 4},
         {2, 9, 5},

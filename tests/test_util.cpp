@@ -2,9 +2,11 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <numeric>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "util/cli.hpp"
@@ -286,6 +288,46 @@ TEST(Cli, ServeEnsembleKValidatesAtFlagApplyTime) {
   const char* one[] = {"prog", "--serve-ensemble-k", "1"};
   apply_runtime_flags(CliArgs(3, one));
   EXPECT_EQ(serve_runtime_options().ensemble_k, 1);
+}
+
+/// Message of the CheckError `fn` throws ("" when it does not throw).
+template <typename Fn>
+std::string check_error_message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Cli, ServePrecisionValidatesAtFlagApplyTime) {
+  // bf16 is the only 16-bit tier: fp16 is rejected where the flag (or its
+  // env fallback) is applied, with a reason naming the accepted values, and
+  // the stored option is left as it was.
+  const char* fp16[] = {"prog", "--serve-precision", "fp16"};
+  const std::string flag_msg =
+      check_error_message([&] { apply_runtime_flags(CliArgs(3, fp16)); });
+  EXPECT_NE(flag_msg.find("'fp16'"), std::string::npos) << flag_msg;
+  EXPECT_NE(flag_msg.find("expected fp32 | bf16"), std::string::npos)
+      << flag_msg;
+  EXPECT_EQ(serve_runtime_options().precision, "fp32");
+
+  const char* bare[] = {"prog"};
+  ASSERT_EQ(::setenv("TURBFNO_PRECISION", "fp16", 1), 0);
+  const std::string env_msg =
+      check_error_message([&] { apply_runtime_flags(CliArgs(1, bare)); });
+  ::unsetenv("TURBFNO_PRECISION");
+  EXPECT_NE(env_msg.find("'fp16'"), std::string::npos) << env_msg;
+  EXPECT_EQ(serve_runtime_options().precision, "fp32");
+
+  const char* bf16[] = {"prog", "--serve-precision", "bf16"};
+  apply_runtime_flags(CliArgs(3, bf16));
+  EXPECT_EQ(serve_runtime_options().precision, "bf16");
+  // Restore the process-wide default for the rest of the suite.
+  const char* fp32[] = {"prog", "--serve-precision", "fp32"};
+  apply_runtime_flags(CliArgs(3, fp32));
+  EXPECT_EQ(serve_runtime_options().precision, "fp32");
 }
 
 TEST(Table, CsvRoundTrip) {
