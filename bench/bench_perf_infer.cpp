@@ -339,17 +339,22 @@ int main(int argc, char** argv) {
     run_variants(20);
   }
 
-  // Steady-state plan-cache discipline: with the engine re-planned for the
-  // forward shape (the rollout sections above left it planned for batch 4)
-  // and warm, repeated forwards must not fall through the per-thread plan
-  // memo — check_tier1.sh asserts this delta is zero.
+  // Steady-state plan-cache and scratch discipline: with the engine
+  // re-planned for the forward shape (the rollout sections above left it
+  // planned for batch 4) and warm, repeated forwards must neither fall
+  // through the per-thread plan memo nor allocate FFT workspace (the
+  // engine's line loops run in its plan-time arena) — check_tier1.sh
+  // asserts both deltas are zero.
   engine.plan({1, cfg.in_channels, grid, grid});
   engine.forward(x, y);  // warm: repopulate every worker's plan memo
-  const std::int64_t misses_before =
-      obs::counter("fft/plan_cache_misses").value();
+  obs::Counter& plan_misses = obs::counter("fft/plan_cache_misses");
+  obs::Counter& workspace_misses = obs::counter("fft/workspace_misses");
+  const std::int64_t misses_before = plan_misses.value();
+  const std::int64_t workspace_before = workspace_misses.value();
   for (int r = 0; r < 8; ++r) engine.forward_raw(x.data(), y.data());
-  const std::int64_t plan_miss_delta =
-      obs::counter("fft/plan_cache_misses").value() - misses_before;
+  const std::int64_t plan_miss_delta = plan_misses.value() - misses_before;
+  const std::int64_t workspace_miss_delta =
+      workspace_misses.value() - workspace_before;
   const std::int64_t batched_lines = obs::counter("fft/batched_lines").value();
   const std::int64_t batch_tails =
       obs::counter("fft/batch_tail_lines").value();
@@ -416,6 +421,7 @@ int main(int argc, char** argv) {
   counters.integer("fft/batched_lines", batched_lines);
   counters.integer("fft/batch_tail_lines", batch_tails);
   counters.integer("fft/plan_cache_misses_steady_delta", plan_miss_delta);
+  counters.integer("fft/workspace_misses_steady_delta", workspace_miss_delta);
   bench::JsonObject gauges;
   gauges.number("infer/arena_bytes", arena_bytes, "%.0f");
   bench::JsonObject doc;

@@ -27,8 +27,10 @@
 #     zero-steady-state-allocation contract holds
 #     (infer/steady_state_allocs == 0), the engine drove the batched FFT
 #     path (fft/batched_lines > 0), the plan-cache memo stayed hit-only
-#     across a steady-state repeat (fft/plan_cache_misses_steady_delta == 0),
-#     and the BENCH_inference.json schema is well formed.
+#     and no FFT workspace was allocated across a steady-state repeat
+#     (fft/plan_cache_misses_steady_delta == 0,
+#     fft/workspace_misses_steady_delta == 0), and the BENCH_inference.json
+#     schema is well formed.
 #  5. A serving smoke: bench_perf_serve at a tiny grid/horizon, asserting
 #     concurrent sessions are bitwise identical to sequential rollouts at
 #     pool widths 1 and 4, the saturation exercise bumps
@@ -190,6 +192,8 @@ assert d["counters"]["fft/batched_lines"] > 0, \
     "batched line-FFT path never engaged in the engine"
 assert d["counters"]["fft/plan_cache_misses_steady_delta"] == 0, \
     "plan cache missed during the steady-state repeat (memo thrashing)"
+assert d["counters"]["fft/workspace_misses_steady_delta"] == 0, \
+    "FFT workspace allocated during the engine's steady-state repeat"
 EOF
 
 # Serving smoke: a small bench_perf_serve run must report concurrent ==

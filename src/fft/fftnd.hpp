@@ -3,8 +3,14 @@
 // rfftn/irfftn transform the trailing `ndim` axes (real last axis, complex
 // for the rest), which is exactly the layout the FNO spectral convolutions
 // need: (batch, channels, spatial...) with the transform applied per
-// batch/channel slab. Lines are processed in parallel on the global thread
-// pool.
+// batch/channel slab. They are thin wrappers (shape checks, masks, the
+// fft/r2c, fft/c2r and fft/c2c spans) over the two line loops every
+// transform in the library runs, on the current thread pool: the real-row
+// loop rfft_rows/irfft_rows (fft/real.hpp) and the strided c2c line loop
+// c2c_lines below. The loops are defined and instantiated for float and
+// double only in fft/fft.cpp, the wrappers are declared `extern template`
+// below, so each is compiled exactly once; the inference engine calls the
+// same loops with its plan-time arena scratch.
 //
 // Mode-pruned transforms: callers that only consume (forward) or only
 // populate (inverse) a subset of spectrum coordinates — the FNO spectral
@@ -25,9 +31,9 @@
 // indexed by coordinates that are dense on that side of the transform.
 //
 // The `_into` variants write through a caller-held output tensor
-// (reallocated only on shape change) and the inverse path stages through a
-// workspace.hpp scratch buffer, keeping the allocator off the training hot
-// path.
+// (reallocated only on shape change), and the inverse copy and the loops'
+// per-slot scratch come from workspace.hpp buffers, keeping the allocator
+// off the training hot path.
 #pragma once
 
 #include <algorithm>
@@ -40,7 +46,6 @@
 #include "fft/workspace.hpp"
 #include "obs/obs.hpp"
 #include "tensor/tensor.hpp"
-#include "util/isa.hpp"
 #include "util/thread_pool.hpp"
 
 namespace turb::fft {
@@ -104,6 +109,18 @@ void size_output(Tensor<T>& out, const Shape& like, index_t last) {
   out = Tensor<T>(std::move(shape));
 }
 
+/// Per-slot line-loop scratch for `pool` from the calling thread's
+/// workspace `slot` (the engine passes a plan-time arena slice instead).
+/// The threads of one dispatch on `pool` hold disjoint slots, and a nested
+/// (serial) dispatch runs on the calling thread alone.
+template <typename T>
+LineScratch<T> pool_scratch(const ThreadPool& pool, std::string_view slot,
+                            index_t per_slot) {
+  const auto slots = static_cast<index_t>(pool.slot_count());
+  return {workspace<std::complex<T>>(slot, {slots * per_slot}).data(),
+          per_slot};
+}
+
 inline void validate_mask(const ModeMask* mask, const Shape& spec_shape,
                           int ndim) {
   if (mask == nullptr) return;
@@ -123,107 +140,53 @@ inline void validate_mask(const ModeMask* mask, const Shape& spec_shape,
 
 }  // namespace detail
 
+/// The c2c line loop: for every (o, i) in [0, outer) × [0, inner), the
+/// length-n line at src + o·n·inner + i (stride inner) is transformed into
+/// the same position of dst; src and dst may alias. Lines whose inner
+/// coordinate `inner_keep` prunes are neither transformed nor written.
+/// Kept lines run in lane-interleaved batches of up to
+/// lane_count<T>(active ISA) per pool chunk where the plan has a lane
+/// kernel, else one at a time; a line's bits do not depend on its batch
+/// (see fft/plan.hpp). Counts fft/lines_total, fft/pruned_lines_skipped,
+/// fft/batched_lines and fft/batch_tail_lines (nothing when n == 1).
+/// `scratch.stride` must be at least line_scratch_elems<T>(n).
+template <typename T>
+void c2c_lines(ThreadPool& pool, const std::complex<T>* src,
+               std::complex<T>* dst, index_t outer, index_t n, index_t inner,
+               bool forward, const std::uint8_t* inner_keep,
+               LineScratch<T> scratch);
+
+/// Scratch elements one slot needs for c2c lines of length n: the
+/// lane-interleaved block and the plan's work_size().
+template <typename T>
+index_t line_scratch_elems(index_t n) {
+  return n * kMaxLanes + plan<T>(n).work_size();
+}
+
 /// In-place complex FFT along `axis` over every line of the tensor. With
 /// `inner_keep` (one flag per flattened coordinate of the axes after
 /// `axis`), lines whose inner coordinate is pruned are left untouched.
 template <typename T>
 void c2c_axis(Tensor<std::complex<T>>& x, std::size_t axis, bool forward,
               const std::vector<std::uint8_t>* inner_keep = nullptr) {
-  using cpx = std::complex<T>;
   TURB_TRACE_SCOPE("fft/c2c");
   TURB_CHECK(axis < x.rank());
   const Shape& shape = x.shape();
   const index_t n = shape[axis];
-  if (n == 1) return;
   index_t outer = 1, inner = 1;
   for (std::size_t i = 0; i < axis; ++i) outer *= shape[i];
   for (std::size_t i = axis + 1; i < shape.size(); ++i) inner *= shape[i];
-
-  // Pruning coverage counters (exported via --metrics-out): every candidate
-  // line counts toward lines_total, masked-out lines toward
-  // pruned_lines_skipped.
-  static obs::Counter& lines_total = obs::counter("fft/lines_total");
-  static obs::Counter& lines_skipped = obs::counter("fft/pruned_lines_skipped");
-  lines_total.add(outer * inner);
-  util::fft_dispatch_counter(util::active_isa()).add(1);
   const std::uint8_t* keep = nullptr;
   if (inner_keep != nullptr && !inner_keep->empty()) {
     TURB_CHECK_MSG(static_cast<index_t>(inner_keep->size()) == inner,
                    "inner_keep has " << inner_keep->size()
                                      << " flags for inner extent " << inner);
     keep = inner_keep->data();
-    index_t kept = 0;
-    for (const std::uint8_t flag : *inner_keep) kept += (flag != 0);
-    lines_skipped.add(outer * (inner - kept));
   }
-
-  const PlanC2C<T>& p = plan<T>(n);
-  cpx* data = x.data();
-
-  // Lines are independent (disjoint read/write slices), so batch dispatch is
-  // chunked over the pool: each task transforms a contiguous run of lines,
-  // amortising the dispatch cost over many transforms. The skip test inside
-  // the body does not move chunk boundaries, so the partition — and with it
-  // the thread-count determinism contract — is unchanged.
-  if (inner == 1) {
-    if (keep != nullptr && keep[0] == 0) return;
-    parallel_for_chunked(0, outer, [&](index_t ob, index_t oe) {
-      for (index_t o = ob; o < oe; ++o) {
-        cpx* line = data + o * n;
-        forward ? p.forward(line) : p.inverse(line);
-      }
-    });
-    return;
-  }
-
-  // Strided lines. Where the plan has a lane kernel (batch_wants_lanes),
-  // kept lines are collected into lane-interleaved batches of up to B and
-  // run through forward_batch/inverse_batch; elsewhere B is 1 and each line
-  // runs the pinned single-line path (a one-lane batch is exactly the
-  // single-line layout). Collection happens within each chunk, so the chunk
-  // partition — and the thread-count determinism contract — is unchanged;
-  // a line's bits do not depend on its batch occupancy (see fft/plan.hpp),
-  // so the grouping (which shifts with pruning gaps, chunk boundaries, and
-  // ragged tails) is unobservable.
-  const index_t batch =
-      p.batch_wants_lanes() ? lane_count<T>(util::active_isa()) : 1;
-  static obs::Counter& batched_lines = obs::counter("fft/batched_lines");
-  static obs::Counter& tail_lines = obs::counter("fft/batch_tail_lines");
-  parallel_for_chunked(0, outer * inner, [&](index_t tb, index_t te) {
-    Tensor<cpx>& buf = workspace<cpx>("fft/c2c_lanes", {n * batch});
-    cpx* work = buf.data();
-    cpx* lanes[kMaxLanes];
-    index_t count = 0;
-    // Counter deltas accumulate locally and publish once per chunk — a
-    // relaxed add per flush is still a shared cache line bouncing between
-    // every worker thread.
-    std::int64_t my_batched = 0, my_tails = 0;
-    const auto flush = [&] {
-      if (count == 0) return;
-      for (index_t l = 0; l < count; ++l) {
-        const cpx* base = lanes[l];
-        for (index_t j = 0; j < n; ++j) work[j * count + l] = base[j * inner];
-      }
-      forward ? p.forward_batch(work, count) : p.inverse_batch(work, count);
-      for (index_t l = 0; l < count; ++l) {
-        cpx* base = lanes[l];
-        for (index_t j = 0; j < n; ++j) base[j * inner] = work[j * count + l];
-      }
-      my_batched += count;
-      if (count < batch) my_tails += count;
-      count = 0;
-    };
-    for (index_t t = tb; t < te; ++t) {
-      const index_t o = t / inner;
-      const index_t i = t % inner;
-      if (keep != nullptr && keep[i] == 0) continue;
-      lanes[count++] = data + o * n * inner + i;
-      if (count == batch) flush();
-    }
-    flush();
-    if (batch > 1 && my_batched != 0) batched_lines.add(my_batched);
-    if (my_tails != 0) tail_lines.add(my_tails);
-  });
+  ThreadPool& pool = ThreadPool::current();
+  c2c_lines(pool, x.data(), x.data(), outer, n, inner, forward, keep,
+            detail::pool_scratch<T>(pool, "fft/line_scratch",
+                                    line_scratch_elems<T>(n)));
 }
 
 /// Real-to-complex transform of the trailing `ndim` axes into `out`
@@ -234,7 +197,6 @@ void c2c_axis(Tensor<std::complex<T>>& x, std::size_t axis, bool forward,
 template <typename T>
 void rfftn_into(const Tensor<T>& x, int ndim, Tensor<std::complex<T>>& out,
                 const ModeMask* mask = nullptr) {
-  using cpx = std::complex<T>;
   TURB_TRACE_SCOPE("fft/r2c");
   TURB_CHECK(ndim >= 1 && static_cast<std::size_t>(ndim) <= x.rank());
   const Shape& in_shape = x.shape();
@@ -244,15 +206,6 @@ void rfftn_into(const Tensor<T>& x, int ndim, Tensor<std::complex<T>>& out,
   const Shape& out_shape = out.shape();
   detail::validate_mask(mask, out_shape, ndim);
 
-  const index_t rows = x.size() / n_last;
-  static obs::Counter& lines = obs::counter("fft/r2c_lines");
-  static obs::Counter& lines_total = obs::counter("fft/lines_total");
-  lines.add(rows);
-  lines_total.add(rows);
-  util::fft_dispatch_counter(util::active_isa()).add(1);
-  const index_t out_row = out_shape[rank - 1];
-  const T* in_data = x.data();
-  cpx* out_data = out.data();
   // Every row must be transformed (the other transform axes are still in
   // spatial coordinates here), but output bins of a pruned last-axis
   // coordinate are never read downstream, so the per-row unpack skips them.
@@ -260,29 +213,10 @@ void rfftn_into(const Tensor<T>& x, int ndim, Tensor<std::complex<T>>& out,
   if (mask != nullptr && !mask->back().empty()) {
     keep_bins = mask->back().data();
   }
-  // Rows run in blocks of up to B through rfft_batch_scratch: lane kernels
-  // on avx2, the single-row kernel per row on the scalar tier.
-  const index_t batch = lane_count<T>(util::active_isa());
-  static obs::Counter& batched_lines = obs::counter("fft/batched_lines");
-  static obs::Counter& tail_lines = obs::counter("fft/batch_tail_lines");
-  const index_t h = n_last / 2;
-  parallel_for_chunked(0, rows, [&](index_t rb, index_t re) {
-    Tensor<cpx>& zbuf = workspace<cpx>("fft/rfft_z_lanes", {h * batch});
-    Tensor<cpx>& ubuf = workspace<cpx>("fft/rfft_u_lanes", {(h + 1) * batch});
-    Tensor<cpx>& twbuf = workspace<cpx>("fft/rfft_tw", {h + 1});
-    fill_rfft_twiddles(twbuf.data(), n_last);
-    std::int64_t my_batched = 0, my_tails = 0;
-    for (index_t r = rb; r < re; r += batch) {
-      const index_t nl = std::min(batch, re - r);
-      rfft_batch_scratch(in_data + r * n_last, n_last, out_data + r * out_row,
-                         out_row, n_last, nl, keep_bins, zbuf.data(),
-                         ubuf.data(), twbuf.data());
-      my_batched += nl;
-      if (nl < batch) my_tails += nl;
-    }
-    batched_lines.add(my_batched);
-    if (my_tails != 0) tail_lines.add(my_tails);
-  });
+  ThreadPool& pool = ThreadPool::current();
+  rfft_rows(pool, x.data(), out.data(), x.size() / n_last, n_last, keep_bins,
+            detail::pool_scratch<T>(pool, "fft/row_scratch",
+                                    row_scratch_elems<T>(n_last)));
 
   // Remaining (complex) transform axes, innermost-first order is arbitrary.
   // Stage d transforms trailing axis j = ndim-1-d; the axes after j are
@@ -351,35 +285,10 @@ void irfftn_into(const Tensor<std::complex<T>>& x, int ndim, index_t n_last,
   }
 
   detail::size_output(out, x.shape(), n_last);
-  const index_t in_row = x.shape()[rank - 1];
-  const index_t rows = out.size() / n_last;
-  static obs::Counter& lines = obs::counter("fft/c2r_lines");
-  static obs::Counter& lines_total = obs::counter("fft/lines_total");
-  lines.add(rows);
-  lines_total.add(rows);
-  util::fft_dispatch_counter(util::active_isa()).add(1);
-  T* out_data = out.data();
-  const index_t batch = lane_count<T>(util::active_isa());
-  static obs::Counter& batched_lines = obs::counter("fft/batched_lines");
-  static obs::Counter& tail_lines = obs::counter("fft/batch_tail_lines");
-  const index_t h = n_last / 2;
-  parallel_for_chunked(0, rows, [&](index_t rb, index_t re) {
-    Tensor<cpx>& zbuf = workspace<cpx>("fft/irfft_z_lanes", {h * batch});
-    Tensor<cpx>& ubuf = workspace<cpx>("fft/irfft_u_lanes", {(h + 1) * batch});
-    Tensor<cpx>& twbuf = workspace<cpx>("fft/irfft_tw", {h});
-    fill_irfft_twiddles(twbuf.data(), n_last);
-    std::int64_t my_batched = 0, my_tails = 0;
-    for (index_t r = rb; r < re; r += batch) {
-      const index_t nl = std::min(batch, re - r);
-      irfft_batch_scratch(spec + r * in_row, in_row, out_data + r * n_last,
-                          n_last, n_last, nl, zbuf.data(), ubuf.data(),
-                          twbuf.data());
-      my_batched += nl;
-      if (nl < batch) my_tails += nl;
-    }
-    batched_lines.add(my_batched);
-    if (my_tails != 0) tail_lines.add(my_tails);
-  });
+  ThreadPool& pool = ThreadPool::current();
+  irfft_rows(pool, spec, out.data(), out.size() / n_last, n_last,
+             detail::pool_scratch<T>(pool, "fft/row_scratch",
+                                     row_scratch_elems<T>(n_last)));
 }
 
 /// Inverse of rfftn. `n_last` is the original size of the last axis.
@@ -390,5 +299,18 @@ Tensor<T> irfftn(const Tensor<std::complex<T>>& x, int ndim, index_t n_last,
   irfftn_into(x, ndim, n_last, out, mask);
   return out;
 }
+
+// Compiled once, in fft/fft.cpp (rfftn/irfftn only forward to these).
+#define TURB_FFT_WRAPPERS(T)                                                  \
+  extern template void c2c_axis<T>(Tensor<std::complex<T>>&, std::size_t,    \
+                                   bool, const std::vector<std::uint8_t>*);  \
+  extern template void rfftn_into<T>(const Tensor<T>&, int,                  \
+                                     Tensor<std::complex<T>>&,               \
+                                     const ModeMask*);                       \
+  extern template void irfftn_into<T>(const Tensor<std::complex<T>>&, int,   \
+                                      index_t, Tensor<T>&, const ModeMask*);
+TURB_FFT_WRAPPERS(float)
+TURB_FFT_WRAPPERS(double)
+#undef TURB_FFT_WRAPPERS
 
 }  // namespace turb::fft

@@ -16,6 +16,7 @@
 // Bluestein lengths reach the dispatch through their power-of-two sub-plan.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <memory>
@@ -82,34 +83,54 @@ class PlanC2C {
     } else {
       init_bluestein();
     }
+    init_real_twiddles();
   }
 
   [[nodiscard]] index_t size() const { return n_; }
 
+  /// Unpack twiddles of the real transform of length 2n that runs on this
+  /// half-length plan (fft/real.hpp): rfft_twiddles()[k] = e^(-2πik/2n) for
+  /// k ≤ n, irfft_twiddles()[k] = e^(2πik/2n) for k < n. Built once with
+  /// the plan, so every real transform of one length reads one table.
+  [[nodiscard]] const cpx* rfft_twiddles() const { return rfft_tw_.data(); }
+  [[nodiscard]] const cpx* irfft_twiddles() const { return irfft_tw_.data(); }
+
+  /// Elements of the caller's `work` buffer below: the Bluestein
+  /// convolution buffer, none at radix-2 lengths.
+  [[nodiscard]] index_t work_size() const { return sub_ ? m_ : 0; }
+
   /// In-place forward DFT (unscaled): X_k = sum_j x_j e^{-2πijk/n}.
-  void forward(cpx* x) const { execute(x, /*inverse=*/false); }
+  /// `work` (work_size() elements) is the Bluestein buffer; without it a
+  /// thread-local buffer is grown on first use, so callers with a
+  /// no-allocation contract (the line loops) pass their own.
+  void forward(cpx* x, cpx* work = nullptr) const {
+    execute(x, /*inverse=*/false, work);
+  }
 
   /// In-place inverse DFT (scaled by 1/n).
-  void inverse(cpx* x) const { execute(x, /*inverse=*/true); }
+  void inverse(cpx* x, cpx* work = nullptr) const {
+    execute(x, /*inverse=*/true, work);
+  }
 
   /// Lane-per-line batched transforms over `nlanes` independent lines held
   /// lane-interleaved in `x` (element j of lane l at x[j*nlanes + l]).
   /// Every lane's result is bitwise identical to running forward()/inverse()
   /// on that line alone under the same ISA tier (batch occupancy invariance;
-  /// see the header comment). nlanes must be in [1, kMaxLanes].
-  void forward_batch(cpx* x, index_t nlanes) const {
-    execute_batch(x, nlanes, /*inverse=*/false);
+  /// see the header comment). nlanes must be in [1, kMaxLanes]; `work` as
+  /// for forward() (a one-lane batch is the single-line transform).
+  void forward_batch(cpx* x, index_t nlanes, cpx* work = nullptr) const {
+    execute_batch(x, nlanes, /*inverse=*/false, work);
   }
 
-  void inverse_batch(cpx* x, index_t nlanes) const {
-    execute_batch(x, nlanes, /*inverse=*/true);
+  void inverse_batch(cpx* x, index_t nlanes, cpx* work = nullptr) const {
+    execute_batch(x, nlanes, /*inverse=*/true, work);
   }
 
   /// Does this plan execute batches through lane-interleaved SIMD kernels
   /// under the currently active ISA (avx2 and a power-of-two length)? When
   /// false, execute_batch would only de-interleave and run per lane, so the
-  /// line drivers (fft::c2c_axis, the inference engine) run such plans one
-  /// line at a time through forward()/inverse() instead.
+  /// c2c line loop (fft::c2c_lines) runs such plans one line at a time
+  /// through forward()/inverse() instead.
   [[nodiscard]] bool batch_wants_lanes() const {
 #if defined(TURBFNO_HAS_AVX2_KERNELS)
     if constexpr (std::is_same_v<T, float> || std::is_same_v<T, double>) {
@@ -157,6 +178,16 @@ class PlanC2C {
     }
   }
 
+  void init_real_twiddles() {
+    // e^(±2πik/2n), evaluated as (±2.0·π·k)/2n like every other table here.
+    const auto unit = [n = static_cast<double>(2 * n_)](double two, index_t k) {
+      const double ang = two * std::numbers::pi * static_cast<double>(k) / n;
+      return cpx(static_cast<T>(std::cos(ang)), static_cast<T>(std::sin(ang)));
+    };
+    for (index_t k = 0; k <= n_; ++k) rfft_tw_.push_back(unit(-2.0, k));
+    for (index_t k = 0; k < n_; ++k) irfft_tw_.push_back(unit(2.0, k));
+  }
+
   void init_bluestein() {
     m_ = next_pow2(2 * n_ - 1);
     sub_ = std::make_unique<PlanC2C>(m_);
@@ -188,8 +219,8 @@ class PlanC2C {
   // of this function differently per call site — observed for f64 — which
   // would make "the same" transform round differently depending on who
   // called it.
-  __attribute__((noinline, noclone)) void execute(cpx* x,
-                                                  bool inverse) const {
+  __attribute__((noinline, noclone)) void execute(cpx* x, bool inverse,
+                                                  cpx* work) const {
     if (sub_ == nullptr) {
       radix2(x, inverse);
       if (inverse) {
@@ -199,11 +230,11 @@ class PlanC2C {
     } else {
       if (inverse) {
         for (index_t i = 0; i < n_; ++i) x[i] = std::conj(x[i]);
-        bluestein_forward(x);
+        bluestein_forward(x, work);
         const T scale = T{1} / static_cast<T>(n_);
         for (index_t i = 0; i < n_; ++i) x[i] = std::conj(x[i]) * scale;
       } else {
-        bluestein_forward(x);
+        bluestein_forward(x, work);
       }
     }
   }
@@ -252,12 +283,12 @@ class PlanC2C {
   // null-ness, forward/inverse constant propagation), which silently breaks
   // batch occupancy invariance. Exact operations (copies, swaps, conj,
   // componentwise scaling) are exempt: they round nothing.
-  void execute_batch(cpx* x, index_t nlanes, bool inverse) const {
+  void execute_batch(cpx* x, index_t nlanes, bool inverse, cpx* work) const {
     TURB_CHECK_MSG(nlanes >= 1 && nlanes <= kMaxLanes,
                    "batched FFT lane count " << nlanes << " out of range");
     if (nlanes == 1) {
       // A one-lane batch is exactly the single-line layout.
-      execute(x, inverse);
+      execute(x, inverse, work);
       return;
     }
 #if defined(TURBFNO_HAS_AVX2_KERNELS)
@@ -300,7 +331,7 @@ class PlanC2C {
       for (index_t l = 0; l < nlanes; ++l) lines[l * n_ + j] = src[l];
     }
     for (index_t l = 0; l < nlanes; ++l) {
-      execute(lines.data() + l * n_, inverse);
+      execute(lines.data() + l * n_, inverse, work);
     }
     for (index_t j = 0; j < n_; ++j) {
       cpx* dst = x + j * nlanes;
@@ -308,21 +339,23 @@ class PlanC2C {
     }
   }
 
-  void bluestein_forward(cpx* x) const {
-    thread_local std::vector<cpx> scratch;
-    scratch.assign(static_cast<std::size_t>(m_), cpx{});
-    for (index_t k = 0; k < n_; ++k) {
-      scratch[static_cast<std::size_t>(k)] =
-          x[k] * chirp_[static_cast<std::size_t>(k)];
+  void bluestein_forward(cpx* x, cpx* scratch) const {
+    thread_local std::vector<cpx> own;
+    if (scratch == nullptr) {
+      own.resize(static_cast<std::size_t>(m_));
+      scratch = own.data();
     }
-    sub_->forward(scratch.data());
+    std::fill(scratch, scratch + m_, cpx{});
+    for (index_t k = 0; k < n_; ++k) {
+      scratch[k] = x[k] * chirp_[static_cast<std::size_t>(k)];
+    }
+    sub_->forward(scratch);
     for (index_t k = 0; k < m_; ++k) {
-      scratch[static_cast<std::size_t>(k)] *= bf_[static_cast<std::size_t>(k)];
+      scratch[k] *= bf_[static_cast<std::size_t>(k)];
     }
-    sub_->inverse(scratch.data());
+    sub_->inverse(scratch);
     for (index_t k = 0; k < n_; ++k) {
-      x[k] = scratch[static_cast<std::size_t>(k)] *
-             chirp_[static_cast<std::size_t>(k)];
+      x[k] = scratch[k] * chirp_[static_cast<std::size_t>(k)];
     }
   }
 
@@ -336,6 +369,12 @@ class PlanC2C {
   std::unique_ptr<PlanC2C> sub_;
   std::vector<cpx> chirp_;
   std::vector<cpx> bf_;
+  // Real-transform unpack tables (see rfft_twiddles()).
+  std::vector<cpx> rfft_tw_;
+  std::vector<cpx> irfft_tw_;
 };
+
+extern template class PlanC2C<float>;
+extern template class PlanC2C<double>;
 
 }  // namespace turb::fft

@@ -5,246 +5,64 @@
 // irfft(rfft(x)) == x. Lengths must be even (all grids and the temporal
 // window length used in this library are even).
 //
-// The unpack twiddles e^(±2πik/n) are read from a caller-provided table so
-// the inference engine can compute them once at plan time; the rfft/irfft
-// wrappers fill a scratch table per call (the historical cost). Both paths
-// run the one shared _scratch instantiation on identical table values, so
-// their outputs are bitwise identical by construction.
+// The unpack twiddles e^(∓2πik/n) are built once per length with the cached
+// half-length plan (PlanC2C::rfft_twiddles/irfft_twiddles), so every caller
+// of a length reads one table. Everything below is compiled once, for
+// float and double only: the pinned single-row kernels in fft/real.cpp,
+// and the one real-row loop rfft_rows/irfft_rows (with its lane-batched
+// blocks) in fft/fft.cpp. The single-row transforms, fft::rfftn_into/
+// irfftn_into (training, the NS step, the diagnostics) and the inference
+// engine all run the same compiled code, so their outputs and fft/*
+// counters agree by construction.
 //
 // The unpack/pack loops dispatch per call on util::active_isa() between the
-// scalar reference loops below and the AVX2/FMA kernels in
-// fft/kernels_avx2.hpp; dispatch sits inside the shared instantiation, so
-// the training/engine bitwise identity above holds under either ISA.
+// scalar reference loops and the AVX2/FMA kernels in fft/kernels_avx2.hpp;
+// dispatch sits inside the shared instantiation, so the bitwise identity
+// above holds under either ISA.
 #pragma once
 
 #include <complex>
 #include <cstdint>
-#include <numbers>
-#include <type_traits>
-#include <vector>
 
-#include "fft/kernels_avx2.hpp"
 #include "fft/plan_cache.hpp"
 #include "util/common.hpp"
-#include "util/isa.hpp"
+#include "util/thread_pool.hpp"
 
 namespace turb::fft {
 
-/// Fill `tw` (n/2+1 entries) with the rfft unpack twiddles
-/// tw[k] = e^(-2πik/n) — the exact expressions rfft historically evaluated
-/// inline per bin, so precomputed tables reproduce the same values.
+/// Caller-owned scratch of the line loops, `stride` elements per pool slot
+/// (ThreadPool::scratch_slot): the engine's plan-time arena slice, or a
+/// workspace for the Tensor wrappers in fft/fftnd.hpp.
 template <typename T>
-void fill_rfft_twiddles(std::complex<T>* tw, index_t n) {
-  const index_t h = n / 2;
-  for (index_t k = 0; k <= h; ++k) {
-    const double ang = -2.0 * std::numbers::pi * static_cast<double>(k) /
-                       static_cast<double>(n);
-    tw[k] = std::complex<T>(static_cast<T>(std::cos(ang)),
-                            static_cast<T>(std::sin(ang)));
+struct LineScratch {
+  std::complex<T>* base = nullptr;
+  index_t stride = 0;
+
+  [[nodiscard]] std::complex<T>* slot(const ThreadPool& pool) const {
+    return base + static_cast<index_t>(pool.scratch_slot()) * stride;
   }
+};
+
+/// Scratch elements one slot needs for real rows of length n: lane blocks
+/// of n/2 and n/2+1 elements, then the half-length plan's work_size().
+template <typename T>
+index_t row_scratch_elems(index_t n) {
+  return (n + 1) * kMaxLanes + plan<T>(n / 2).work_size();
 }
 
-/// Fill `tw` (n/2 entries) with the irfft pack twiddles tw[k] = e^(2πik/n).
-template <typename T>
-void fill_irfft_twiddles(std::complex<T>* tw, index_t n) {
-  const index_t h = n / 2;
-  for (index_t k = 0; k < h; ++k) {
-    const double ang = 2.0 * std::numbers::pi * static_cast<double>(k) /
-                       static_cast<double>(n);
-    tw[k] = std::complex<T>(static_cast<T>(std::cos(ang)),
-                            static_cast<T>(std::sin(ang)));
-  }
-}
+namespace detail {
 
-/// rfft core with caller-provided scratch `z` (n/2 elements) and twiddle
-/// table `tw` (n/2+1 elements, see fill_rfft_twiddles). The inference
-/// engine's arena hands in preallocated slices here; the thread_local
-/// wrapper below keeps the original signature for everyone else. Both run
-/// the exact same instructions, so results are bitwise identical between
-/// the two entry points. noinline+noclone pin one compiled body (as for
-/// PlanC2C::execute): inlined copies of the scalar unpack would otherwise
-/// be FMA-contracted differently per call site under -ffp-contract=fast,
-/// and the single-row rfft would stop being the bitwise reference for the
-/// row-batched drivers.
+/// The pinned single-row kernels (fft/real.cpp): `z` holds n/2 elements,
+/// `work` the half-length plan's work_size() or null.
 template <typename T>
-__attribute__((noinline, noclone)) void rfft_scratch(
-    const T* in, std::complex<T>* out, index_t n,
-    const std::uint8_t* keep_bins, std::complex<T>* z,
-    const std::complex<T>* tw) {
-  using cpx = std::complex<T>;
-  TURB_CHECK_MSG(n >= 2 && n % 2 == 0, "rfft length must be even, got " << n);
-  const index_t h = n / 2;
-  for (index_t k = 0; k < h; ++k) {
-    z[k] = cpx(in[2 * k], in[2 * k + 1]);
-  }
-  plan<T>(h).forward(z);
-
-#if defined(TURBFNO_HAS_AVX2_KERNELS)
-  if constexpr (std::is_same_v<T, float> || std::is_same_v<T, double>) {
-    if (util::active_isa() == util::Isa::kAvx2) {
-      avx2::rfft_unpack(z, out, h, keep_bins, tw);
-      return;
-    }
-  }
-#endif
-  for (index_t k = 0; k <= h; ++k) {
-    if (keep_bins != nullptr && keep_bins[k] == 0) continue;
-    const cpx zk = z[k % h];
-    const cpx zc = std::conj(z[(h - k) % h]);
-    const cpx e = (zk + zc) * T{0.5};
-    // O_k = (zk - zc) / (2i) = -i/2 * (zk - zc)
-    const cpx d = zk - zc;
-    const cpx o(T{0.5} * d.imag(), T{-0.5} * d.real());
-    const cpx w = tw[k];
-    out[k] = e + w * o;
-  }
-}
-
-/// irfft core with caller-provided scratch `z` (n/2 elements) and twiddle
-/// table `tw` (n/2 elements, see fill_irfft_twiddles). Pinned like
-/// rfft_scratch.
+void rfft_scratch(const T* in, std::complex<T>* out, index_t n,
+                  const std::uint8_t* keep_bins, std::complex<T>* z,
+                  std::complex<T>* work);
 template <typename T>
-__attribute__((noinline, noclone)) void irfft_scratch(
-    const std::complex<T>* in, T* out, index_t n, std::complex<T>* z,
-    const std::complex<T>* tw) {
-  using cpx = std::complex<T>;
-  TURB_CHECK_MSG(n >= 2 && n % 2 == 0, "irfft length must be even, got " << n);
-  const index_t h = n / 2;
-#if defined(TURBFNO_HAS_AVX2_KERNELS)
-  if constexpr (std::is_same_v<T, float> || std::is_same_v<T, double>) {
-    if (util::active_isa() == util::Isa::kAvx2) {
-      avx2::irfft_pack(in, z, h, tw);
-      plan<T>(h).inverse(z);
-      for (index_t k = 0; k < h; ++k) {
-        out[2 * k] = z[k].real();
-        out[2 * k + 1] = z[k].imag();
-      }
-      return;
-    }
-  }
-#endif
-  for (index_t k = 0; k < h; ++k) {
-    // The DC and Nyquist coefficients of a real signal are real; like cuFFT's
-    // C2R, ignore any imaginary part there so the transform is exactly the
-    // Hermitian-symmetric inverse (this makes the spectral-conv backward pass
-    // an exact adjoint even when upstream produces non-Hermitian spectra).
-    const cpx xk = (k == 0) ? cpx(in[0].real(), T{}) : in[k];
-    const cpx xc = (k == 0) ? cpx(in[h].real(), T{})
-                            : std::conj(in[h - k]);
-    const cpx e = (xk + xc) * T{0.5};
-    const cpx d = (xk - xc) * T{0.5};
-    const cpx w = tw[k];
-    const cpx o = d * w;
-    // Z_k = E_k + i O_k
-    z[k] = cpx(e.real() - o.imag(), e.imag() + o.real());
-  }
-  plan<T>(h).inverse(z);
-  for (index_t k = 0; k < h; ++k) {
-    out[2 * k] = z[k].real();
-    out[2 * k + 1] = z[k].imag();
-  }
-}
+void irfft_scratch(const std::complex<T>* in, T* out, index_t n,
+                   std::complex<T>* z, std::complex<T>* work);
 
-/// Lane-batched rfft over `nl` rows (nl in [1, kMaxLanes]): input row l at
-/// in + l*in_stride, output row l at out + l*out_stride. z_li (n/2 · nl) and
-/// u_li ((n/2+1) · nl) are caller-provided lane-interleaved scratch; tw is
-/// the fill_rfft_twiddles table. Per row the result is bitwise identical to
-/// rfft_scratch on that row alone under the same ISA tier: on the AVX2 tier
-/// the gather/scatter are exact copies and the transform/unpack run
-/// intrinsics lane kernels with fixed per-lane arithmetic; on the scalar
-/// tier the rows (already contiguous) run the pinned single-line kernel one
-/// lane at a time — no compiler-generated per-lane FP loops anywhere (see
-/// fft/plan.hpp on batch occupancy invariance). Bins masked out by
-/// keep_bins are skipped and their output slots left untouched.
-template <typename T>
-void rfft_batch_scratch(const T* in, index_t in_stride, std::complex<T>* out,
-                        index_t out_stride, index_t n, index_t nl,
-                        const std::uint8_t* keep_bins, std::complex<T>* z_li,
-                        std::complex<T>* u_li, const std::complex<T>* tw) {
-  using cpx = std::complex<T>;
-  TURB_CHECK_MSG(n >= 2 && n % 2 == 0, "rfft length must be even, got " << n);
-  const index_t h = n / 2;
-  if (nl == 1) {
-    rfft_scratch(in, out, n, keep_bins, z_li, tw);
-    return;
-  }
-#if defined(TURBFNO_HAS_AVX2_KERNELS)
-  if constexpr (std::is_same_v<T, float> || std::is_same_v<T, double>) {
-    if (util::active_isa() == util::Isa::kAvx2) {
-      for (index_t l = 0; l < nl; ++l) {
-        const T* row = in + l * in_stride;
-        for (index_t k = 0; k < h; ++k) {
-          z_li[k * nl + l] = cpx(row[2 * k], row[2 * k + 1]);
-        }
-      }
-      plan<T>(h).forward_batch(z_li, nl);
-      avx2::rfft_unpack_lanes(z_li, u_li, h, keep_bins, tw, nl);
-      for (index_t l = 0; l < nl; ++l) {
-        cpx* orow = out + l * out_stride;
-        for (index_t k = 0; k <= h; ++k) {
-          if (keep_bins != nullptr && keep_bins[k] == 0) continue;
-          orow[k] = u_li[k * nl + l];
-        }
-      }
-      return;
-    }
-  }
-#endif
-  // Scalar tier: each row is contiguous in memory already, so run the
-  // single-line kernel per lane (z_li's first h slots serve as the per-row
-  // scratch). The batch still amortises the caller's twiddle fill and
-  // chunk bookkeeping.
-  (void)u_li;
-  for (index_t l = 0; l < nl; ++l) {
-    rfft_scratch(in + l * in_stride, out + l * out_stride, n, keep_bins, z_li,
-                 tw);
-  }
-}
-
-/// Lane-batched irfft over `nl` rows: spectrum row l at in + l*in_stride
-/// (n/2+1 elements), real output row l at out + l*out_stride. u_li holds
-/// (n/2+1) · nl and z_li n/2 · nl lane-interleaved scratch; tw is the
-/// fill_irfft_twiddles table. Bitwise identical per row to irfft_scratch
-/// under the same ISA tier.
-template <typename T>
-void irfft_batch_scratch(const std::complex<T>* in, index_t in_stride, T* out,
-                         index_t out_stride, index_t n, index_t nl,
-                         std::complex<T>* z_li, std::complex<T>* u_li,
-                         const std::complex<T>* tw) {
-  using cpx = std::complex<T>;
-  TURB_CHECK_MSG(n >= 2 && n % 2 == 0, "irfft length must be even, got " << n);
-  const index_t h = n / 2;
-  if (nl == 1) {
-    irfft_scratch(in, out, n, z_li, tw);
-    return;
-  }
-#if defined(TURBFNO_HAS_AVX2_KERNELS)
-  if constexpr (std::is_same_v<T, float> || std::is_same_v<T, double>) {
-    if (util::active_isa() == util::Isa::kAvx2) {
-      for (index_t l = 0; l < nl; ++l) {
-        const cpx* row = in + l * in_stride;
-        for (index_t k = 0; k <= h; ++k) u_li[k * nl + l] = row[k];
-      }
-      avx2::irfft_pack_lanes(u_li, z_li, h, tw, nl);
-      plan<T>(h).inverse_batch(z_li, nl);
-      for (index_t l = 0; l < nl; ++l) {
-        T* orow = out + l * out_stride;
-        for (index_t k = 0; k < h; ++k) {
-          orow[2 * k] = z_li[k * nl + l].real();
-          orow[2 * k + 1] = z_li[k * nl + l].imag();
-        }
-      }
-      return;
-    }
-  }
-#endif
-  // Scalar tier: run the pinned single-line kernel per lane (see
-  // rfft_batch_scratch for the rationale).
-  (void)u_li;
-  for (index_t l = 0; l < nl; ++l) {
-    irfft_scratch(in + l * in_stride, out + l * out_stride, n, z_li, tw);
-  }
-}
+}  // namespace detail
 
 /// Forward real-to-complex DFT. `out` must hold n/2+1 elements.
 ///
@@ -255,27 +73,30 @@ void irfft_batch_scratch(const std::complex<T>* in, index_t in_stride, T* out,
 /// bins stay bitwise identical to the unmasked transform.
 template <typename T>
 void rfft(const T* in, std::complex<T>* out, index_t n,
-          const std::uint8_t* keep_bins = nullptr) {
-  TURB_CHECK_MSG(n >= 2 && n % 2 == 0, "rfft length must be even, got " << n);
-  thread_local std::vector<std::complex<T>> z;
-  thread_local std::vector<std::complex<T>> tw;
-  z.resize(static_cast<std::size_t>(n / 2));
-  tw.resize(static_cast<std::size_t>(n / 2 + 1));
-  fill_rfft_twiddles(tw.data(), n);
-  rfft_scratch(in, out, n, keep_bins, z.data(), tw.data());
-}
+          const std::uint8_t* keep_bins = nullptr);
 
 /// Inverse complex-to-real DFT (1/n scaling). `in` holds n/2+1 elements and
 /// is treated as the non-negative-frequency half of a Hermitian spectrum.
 template <typename T>
-void irfft(const std::complex<T>* in, T* out, index_t n) {
-  TURB_CHECK_MSG(n >= 2 && n % 2 == 0, "irfft length must be even, got " << n);
-  thread_local std::vector<std::complex<T>> z;
-  thread_local std::vector<std::complex<T>> tw;
-  z.resize(static_cast<std::size_t>(n / 2));
-  tw.resize(static_cast<std::size_t>(n / 2));
-  fill_irfft_twiddles(tw.data(), n);
-  irfft_scratch(in, out, n, z.data(), tw.data());
-}
+void irfft(const std::complex<T>* in, T* out, index_t n);
+
+/// The real-row loop: transforms `rows` contiguous rows (real rows of n
+/// values at in + r·n, spectrum rows of n/2+1 at out + r·(n/2+1)) on
+/// `pool`, in blocks of up to lane_count<T>(active ISA) rows per pool chunk
+/// — lane kernels on avx2, the single-row kernel per row on the scalar tier.
+/// Each row's bits equal the single-row rfft, whatever its block occupancy.
+/// `keep_bins` as for rfft. Counts fft/r2c_lines, fft/lines_total,
+/// fft/batched_lines and fft/batch_tail_lines. `scratch.stride` must be at
+/// least row_scratch_elems<T>(n).
+template <typename T>
+void rfft_rows(ThreadPool& pool, const T* in, std::complex<T>* out,
+               index_t rows, index_t n, const std::uint8_t* keep_bins,
+               LineScratch<T> scratch);
+
+/// Inverse of rfft_rows (the same loop, the single-row irfft per row);
+/// counts fft/c2r_lines in place of fft/r2c_lines.
+template <typename T>
+void irfft_rows(ThreadPool& pool, const std::complex<T>* in, T* out,
+                index_t rows, index_t n, LineScratch<T> scratch);
 
 }  // namespace turb::fft

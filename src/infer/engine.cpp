@@ -4,8 +4,6 @@
 #include <cstring>
 
 #include "fft/fftnd.hpp"
-#include "fft/plan_cache.hpp"
-#include "fft/real.hpp"
 #include "nn/activation.hpp"
 #include "tensor/gemm.hpp"
 
@@ -19,18 +17,6 @@ namespace {
 /// bitwise equality with the training path (panel membership decides which
 /// columns take the register-tiled vs tail code path).
 constexpr index_t kColBlock = 64;
-
-/// Allocation-free chunked dispatch: passes the lambda by address through
-/// the pool's raw (fn, ctx) overload — no std::function, no capture copy.
-template <typename Body>
-void run_chunks(ThreadPool& pool, index_t n, const Body& body) {
-  pool.parallel_for_chunked(
-      0, n,
-      [](void* ctx, index_t b, index_t e) {
-        (*static_cast<const Body*>(ctx))(b, e);
-      },
-      const_cast<void*>(static_cast<const void*>(&body)));
-}
 
 /// Element-wise shape check without materialising a Shape (no allocation).
 bool shape_is(const Shape& s, std::initializer_list<index_t> want) {
@@ -54,13 +40,7 @@ InferenceEngine::InferenceEngine(fno::Fno& model, EngineOptions options)
       forward_calls_(obs::counter("infer/forward_calls")),
       replans_(obs::counter("infer/replans")),
       steady_allocs_(obs::counter("infer/steady_state_allocs")),
-      arena_gauge_(obs::gauge("infer/arena_bytes")),
-      fft_lines_total_(obs::counter("fft/lines_total")),
-      fft_lines_skipped_(obs::counter("fft/pruned_lines_skipped")),
-      fft_r2c_lines_(obs::counter("fft/r2c_lines")),
-      fft_c2r_lines_(obs::counter("fft/c2r_lines")),
-      fft_batched_lines_(obs::counter("fft/batched_lines")),
-      fft_batch_tail_lines_(obs::counter("fft/batch_tail_lines")) {
+      arena_gauge_(obs::gauge("infer/arena_bytes")) {
   wskip_.resize(static_cast<std::size_t>(cfg_.n_layers));
   bskip_.resize(static_cast<std::size_t>(cfg_.n_layers));
   pw_.resize(static_cast<std::size_t>(cfg_.n_layers));
@@ -176,14 +156,14 @@ void InferenceEngine::plan(const Shape& in_shape) {
   const fft::ModeMask& mask = conv.mode_mask();
   keep_bins_ = mask.back();
 
-  // c2c stage geometry over the (N, width, spec...) spectrum tensor,
-  // mirroring fft::c2c_axis line decomposition and inner_keep pruning.
+  // c2c stage geometry over the (N, width, spec...) spectrum tensor: the
+  // line decomposition and inner_keep pruning fft::c2c_axis derives per
+  // call, derived once here for fft::c2c_lines.
   Shape spec_full{batch_, cfg_.width};
   for (std::size_t d = 0; d < rank; ++d) {
     spec_full.push_back(d + 1 < rank ? spatial_[d] : n_last_ / 2 + 1);
   }
   stages_.assign(rank - 1, C2cStage{});
-  line_len_ = 0;
   for (std::size_t a = 0; a + 1 < rank; ++a) {
     C2cStage& st = stages_[a];
     st.n = spatial_[a];
@@ -192,17 +172,22 @@ void InferenceEngine::plan(const Shape& in_shape) {
     st.inner = 1;
     for (std::size_t d = a + 1; d < rank; ++d) st.inner *= spec_full[2 + d];
     fft::detail::inner_keep_flags(mask, a + 1, spec_full, rank, st.keep);
-    st.kept_inner = 0;
-    for (const std::uint8_t f : st.keep) st.kept_inner += (f != 0);
-    line_len_ = std::max(line_len_, st.n);
   }
 
   // Arena layout. Activation ping-pong pair, rollout window + prediction
-  // pair, three spectrum slabs, and per-slot kernel scratch.
+  // pair, three spectrum slabs, per-slot kernel scratch, and the per-slot
+  // line-loop scratch (sized for fft::kMaxLanes, so the live lane count
+  // always fits), whose stride stays a whole number of cache lines.
   const index_t w = cfg_.width;
   const index_t spec_elems = batch_ * w * slab_;
   tile_rows_ = std::max({cfg_.lifting_channels, cfg_.projection_channels, w});
   slots_ = pool.slot_count();
+  constexpr index_t kLineAlign = Arena::kAlign / sizeof(cpxf);
+  fft_stride_ = fft::row_scratch_elems<float>(n_last_);
+  for (const C2cStage& st : stages_) {
+    fft_stride_ = std::max(fft_stride_, fft::line_scratch_elems<float>(st.n));
+  }
+  fft_stride_ = (fft_stride_ + kLineAlign - 1) / kLineAlign * kLineAlign;
   arena_.begin_layout();
   off_h0_ = arena_.reserve<float>(batch_ * w * s_);
   off_h1_ = arena_.reserve<float>(batch_ * w * s_);
@@ -212,29 +197,15 @@ void InferenceEngine::plan(const Shape& in_shape) {
   off_xspec_ = arena_.reserve<cpxf>(spec_elems);
   off_yspec_ = arena_.reserve<cpxf>(spec_elems);
   off_work_ = arena_.reserve<cpxf>(spec_elems);
-  off_twf_ = arena_.reserve<cpxf>(n_last_ / 2 + 1);
-  off_twi_ = arena_.reserve<cpxf>(n_last_ / 2);
+  off_fft_ = arena_.reserve<cpxf>(static_cast<index_t>(slots_) * fft_stride_);
   off_tile_.assign(slots_, 0);
   off_xg_.assign(slots_, 0);
-  off_zl_.assign(slots_, 0);
-  off_ul_.assign(slots_, 0);
-  off_lanes_.assign(slots_, 0);
-  const index_t h = n_last_ / 2;
   for (std::size_t t = 0; t < slots_; ++t) {
     off_tile_[t] = arena_.reserve<float>(tile_rows_ * kColBlock);
     off_xg_[t] = arena_.reserve<cpxf>(w);
-    off_zl_[t] = arena_.reserve<cpxf>(h * fft::kMaxLanes);
-    off_ul_[t] = arena_.reserve<cpxf>((h + 1) * fft::kMaxLanes);
-    off_lanes_[t] = arena_.reserve<cpxf>(line_len_ * fft::kMaxLanes);
   }
   arena_.commit();  // zero-fill: establishes the y_spec zero invariant
   arena_gauge_.set(static_cast<double>(arena_.bytes()));
-
-  // Twiddle tables, computed once here instead of per rfft/irfft call — the
-  // fill helpers evaluate the exact expressions the per-call wrappers use,
-  // so table-fed transforms stay bitwise identical to the training path.
-  fft::fill_rfft_twiddles(arena_.at<cpxf>(off_twf_), n_last_);
-  fft::fill_irfft_twiddles(arena_.at<cpxf>(off_twi_), n_last_);
 
   pool_ = &pool;
   in_shape_ = in_shape;
@@ -290,7 +261,7 @@ void InferenceEngine::lift(const float* x, float* h) {
   const float* bl1 = bl1_.data();
   const float* wl2 = wl2_.data();
   const float* bl2 = bl2_.data();
-  run_chunks(*pool_, batch_ * nblocks, [&](index_t tb, index_t te) {
+  parallel_for_chunked(*pool_, 0, batch_ * nblocks, [&](index_t tb, index_t te) {
     const std::size_t slot = pool_->scratch_slot();
     float* tile = arena_.at<float>(off_tile_[slot]);
     for (index_t t = tb; t < te; ++t) {
@@ -328,7 +299,7 @@ void InferenceEngine::project(const float* h, float* y) {
   const float* bp1 = bp1_.data();
   const float* wp2 = wp2_.data();
   const float* bp2 = bp2_.data();
-  run_chunks(*pool_, batch_ * nblocks, [&](index_t tb, index_t te) {
+  parallel_for_chunked(*pool_, 0, batch_ * nblocks, [&](index_t tb, index_t te) {
     const std::size_t slot = pool_->scratch_slot();
     float* tile = arena_.at<float>(off_tile_[slot]);
     for (index_t t = tb; t < te; ++t) {
@@ -354,127 +325,6 @@ void InferenceEngine::project(const float* h, float* y) {
   });
 }
 
-void InferenceEngine::rfft_rows(const float* in, cpxf* out) {
-  const index_t rows = batch_ * cfg_.width * pre_rows_;
-  const index_t out_row = n_last_ / 2 + 1;
-  fft_r2c_lines_.add(rows);
-  fft_lines_total_.add(rows);
-  util::fft_dispatch_counter(util::active_isa()).add(1);
-  const std::uint8_t* keep = keep_bins_.empty() ? nullptr : keep_bins_.data();
-  const cpxf* tw = arena_.at<cpxf>(off_twf_);
-  const index_t b = fft::lane_count<float>(isa_);
-  run_chunks(*pool_, rows, [&](index_t rb, index_t re) {
-    const std::size_t slot = pool_->scratch_slot();
-    cpxf* zl = arena_.at<cpxf>(off_zl_[slot]);
-    cpxf* ul = arena_.at<cpxf>(off_ul_[slot]);
-    std::int64_t my_batched = 0, my_tails = 0;
-    for (index_t r = rb; r < re; r += b) {
-      const index_t nl = std::min(b, re - r);
-      fft::rfft_batch_scratch(in + r * n_last_, n_last_, out + r * out_row,
-                              out_row, n_last_, nl, keep, zl, ul, tw);
-      my_batched += nl;
-      if (nl < b) my_tails += nl;
-    }
-    fft_batched_lines_.add(my_batched);
-    if (my_tails != 0) fft_batch_tail_lines_.add(my_tails);
-  });
-}
-
-void InferenceEngine::irfft_rows(const cpxf* in, float* out) {
-  const index_t rows = batch_ * cfg_.width * pre_rows_;
-  const index_t in_row = n_last_ / 2 + 1;
-  fft_c2r_lines_.add(rows);
-  fft_lines_total_.add(rows);
-  util::fft_dispatch_counter(util::active_isa()).add(1);
-  const cpxf* tw = arena_.at<cpxf>(off_twi_);
-  const index_t b = fft::lane_count<float>(isa_);
-  run_chunks(*pool_, rows, [&](index_t rb, index_t re) {
-    const std::size_t slot = pool_->scratch_slot();
-    cpxf* zl = arena_.at<cpxf>(off_zl_[slot]);
-    cpxf* ul = arena_.at<cpxf>(off_ul_[slot]);
-    std::int64_t my_batched = 0, my_tails = 0;
-    for (index_t r = rb; r < re; r += b) {
-      const index_t nl = std::min(b, re - r);
-      fft::irfft_batch_scratch(in + r * in_row, in_row, out + r * n_last_,
-                               n_last_, n_last_, nl, zl, ul, tw);
-      my_batched += nl;
-      if (nl < b) my_tails += nl;
-    }
-    fft_batched_lines_.add(my_batched);
-    if (my_tails != 0) fft_batch_tail_lines_.add(my_tails);
-  });
-}
-
-void InferenceEngine::c2c_stage(const cpxf* src, cpxf* dst, const C2cStage& st,
-                                bool forward_dir) {
-  if (st.n == 1) return;  // mirrors c2c_axis: counted only when transformed
-  fft_lines_total_.add(st.outer * st.inner);
-  util::fft_dispatch_counter(util::active_isa()).add(1);
-  const std::uint8_t* keep = nullptr;
-  if (!st.keep.empty()) {
-    keep = st.keep.data();
-    fft_lines_skipped_.add(st.outer * (st.inner - st.kept_inner));
-  }
-  const fft::PlanC2C<float>& p = fft::plan<float>(st.n);
-  const index_t n = st.n, inner = st.inner;
-  if (inner == 1 && src == dst) {
-    if (keep != nullptr && keep[0] == 0) return;
-    run_chunks(*pool_, st.outer, [&](index_t ob, index_t oe) {
-      for (index_t o = ob; o < oe; ++o) {
-        cpxf* line = dst + o * n;
-        forward_dir ? p.forward(line) : p.inverse(line);
-      }
-    });
-    return;
-  }
-  // Gather line → transform → scatter. src may differ from dst (the first
-  // inverse stage reads y_spec and writes the workspace directly, replacing
-  // a slab-sized memcpy); the gathered values and the transform are the
-  // same either way, and skipped lines leave dst untouched — zero by the
-  // arena-commit invariant, exactly what the in-place path would hold.
-  //
-  // Mirroring fft::c2c_axis, kept lines are collected into lane-interleaved
-  // batches of up to B within each chunk where the plan has a lane kernel,
-  // and run one at a time (B = 1) elsewhere, so the chunk partition and
-  // thread-count determinism are unchanged; batch occupancy invariance
-  // (fft/plan.hpp) makes the grouping unobservable in the output bits.
-  const index_t b = p.batch_wants_lanes() ? fft::lane_count<float>(isa_) : 1;
-  run_chunks(*pool_, st.outer * inner, [&](index_t tb, index_t te) {
-    cpxf* work = arena_.at<cpxf>(off_lanes_[pool_->scratch_slot()]);
-    const cpxf* in_lanes[fft::kMaxLanes];
-    cpxf* out_lanes[fft::kMaxLanes];
-    index_t count = 0;
-    std::int64_t my_batched = 0, my_tails = 0;
-    const auto flush = [&] {
-      if (count == 0) return;
-      for (index_t l = 0; l < count; ++l) {
-        const cpxf* base = in_lanes[l];
-        for (index_t j = 0; j < n; ++j) work[j * count + l] = base[j * inner];
-      }
-      forward_dir ? p.forward_batch(work, count)
-                  : p.inverse_batch(work, count);
-      for (index_t l = 0; l < count; ++l) {
-        cpxf* base = out_lanes[l];
-        for (index_t j = 0; j < n; ++j) base[j * inner] = work[j * count + l];
-      }
-      my_batched += count;
-      if (count < b) my_tails += count;
-      count = 0;
-    };
-    for (index_t t = tb; t < te; ++t) {
-      const index_t o = t / inner;
-      const index_t i = t % inner;
-      if (keep != nullptr && keep[i] == 0) continue;
-      in_lanes[count] = src + o * n * inner + i;
-      out_lanes[count] = dst + o * n * inner + i;
-      if (++count == b) flush();
-    }
-    flush();
-    if (b > 1) fft_batched_lines_.add(my_batched);
-    if (my_tails != 0) fft_batch_tail_lines_.add(my_tails);
-  });
-}
-
 void InferenceEngine::contract(index_t l, const cpxf* xs, cpxf* ys) {
   const index_t w = cfg_.width, K = kept_, slab = slab_;
   const index_t* offs = spec_offsets_.data();
@@ -483,7 +333,7 @@ void InferenceEngine::contract(index_t l, const cpxf* xs, cpxf* ys) {
   // component to fp32 (identity at fp32, bf16 widening on the compressed
   // path — the only arithmetic difference between the tiers).
   auto dense_contract = [&](const auto* pw, auto load) {
-    run_chunks(*pool_, batch_ * K, [&](index_t tb, index_t te) {
+    parallel_for_chunked(*pool_, 0, batch_ * K, [&](index_t tb, index_t te) {
       cpxf* xg = arena_.at<cpxf>(off_xg_[pool_->scratch_slot()]);
       for (index_t t = tb; t < te; ++t) {
         const index_t n = t / K;
@@ -528,12 +378,22 @@ void InferenceEngine::spectral_layer(index_t l, const float* h_in,
   cpxf* yspec = arena_.at<cpxf>(off_yspec_);
   cpxf* work = arena_.at<cpxf>(off_work_);
   const std::size_t rank = cfg_.rank();
+  const index_t rows = batch_ * cfg_.width * pre_rows_;
+  const fft::LineScratch<float> scratch{arena_.at<cpxf>(off_fft_),
+                                        fft_stride_};
+  const auto c2c = [&](const cpxf* src, cpxf* dst, const C2cStage& st,
+                       bool forward) {
+    fft::c2c_lines(*pool_, src, dst, st.outer, st.n, st.inner, forward,
+                   st.keep.empty() ? nullptr : st.keep.data(), scratch);
+  };
 
-  // Forward transform of h_in (rfft rows, then c2c stages innermost-first —
-  // the rfftn_into stage order).
-  rfft_rows(h_in, xspec);
+  // Forward transform of h_in through the fft module's row and line loops
+  // in rfftn_into's stage order (rfft rows, then c2c stages
+  // innermost-first).
+  fft::rfft_rows(*pool_, h_in, xspec, rows, n_last_,
+                 keep_bins_.empty() ? nullptr : keep_bins_.data(), scratch);
   for (std::size_t a = rank - 1; a-- > 0;) {
-    c2c_stage(xspec, xspec, stages_[a], /*forward_dir=*/true);
+    c2c(xspec, xspec, stages_[a], /*forward=*/true);
   }
 
   // Kept-mode contraction into y_spec (zero outside kept offsets by the
@@ -548,16 +408,16 @@ void InferenceEngine::spectral_layer(index_t l, const float* h_in,
   // training path sees zeros — hence the slab copy.
   contract(l, xspec, yspec);
   if (rank == 2) {
-    c2c_stage(yspec, work, stages_[0], /*forward_dir=*/false);
+    c2c(yspec, work, stages_[0], /*forward=*/false);
   } else {
     std::memcpy(work, yspec,
                 static_cast<std::size_t>(batch_ * cfg_.width * slab_) *
                     sizeof(cpxf));
     for (std::size_t a = 0; a + 1 < rank; ++a) {
-      c2c_stage(work, work, stages_[a], /*forward_dir=*/false);
+      c2c(work, work, stages_[a], /*forward=*/false);
     }
   }
-  irfft_rows(work, h_out);
+  fft::irfft_rows(*pool_, work, h_out, rows, n_last_, scratch);
 
   // Fused skip path: 1×1 skip GEMM into the tile, then per element the
   // training rounding chain — skip = fl(gemm + bias); v = fl(spat + skip);
@@ -572,7 +432,7 @@ void InferenceEngine::spectral_layer(index_t l, const float* h_in,
   const float* wsk = wskip_[static_cast<std::size_t>(l)].data();
   const float* bsk = bskip_[static_cast<std::size_t>(l)].data();
   const index_t nblocks = (s + kColBlock - 1) / kColBlock;
-  run_chunks(*pool_, batch_ * nblocks, [&](index_t tb, index_t te) {
+  parallel_for_chunked(*pool_, 0, batch_ * nblocks, [&](index_t tb, index_t te) {
     const std::size_t slot = pool_->scratch_slot();
     float* tile = arena_.at<float>(off_tile_[slot]);
     for (index_t t = tb; t < te; ++t) {

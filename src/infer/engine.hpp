@@ -6,8 +6,11 @@
 // all dead weight at serving time. The engine replays the exact same
 // dataflow out of a single arena (arena.hpp):
 //
-//   * plan(shape) sizes every activation, FFT spectrum, and per-thread
+//   * plan(shape) sizes every activation, FFT spectrum, and per-pool-slot
 //     scratch slice up front and hands out aligned arena slices;
+//   * the spectral transforms run through the fft module's own row and
+//     line loops (fft::rfft_rows/irfft_rows, fft::c2c_lines) — the code
+//     rfftn/irfftn run for training — fed the arena's per-slot scratch;
 //   * the lifting / projection MLPs and the per-block skip path run as
 //     fused column-block kernels — GEMM into a register-friendly tile,
 //     bias (+GELU) applied in the tile, second GEMM straight into the
@@ -24,8 +27,8 @@
 // enforce it at pool widths 1/2/4, for both the dense and factorized
 // parameterisations): every floating-point value is produced by the same
 // per-element operation sequence as the training path — the same gemm_nn
-// instantiation on 8-aligned column blocks, the same rfft/irfft/PlanC2C
-// kernels, the same ascending-k contraction order, and the same
+// instantiation on 8-aligned column blocks, the same compiled FFT loops
+// and plans, the same ascending-k contraction order, and the same
 // add-bias → add-skip → GELU rounding chain. See DESIGN.md "Inference
 // engine" for the argument.
 //
@@ -152,12 +155,11 @@ class InferenceEngine {
   using cpxf = std::complex<float>;
 
   /// One complex-to-complex FFT stage of the planned transform (spatial
-  /// axis a < rank-1), mirroring fft::c2c_axis line geometry and pruning.
+  /// axis a < rank-1): the fft::c2c_lines geometry and pruning flags.
   struct C2cStage {
     index_t n = 0;      // transform length (spatial extent of the axis)
     index_t outer = 0;  // lines before the axis (includes N·width)
     index_t inner = 0;  // flattened extent after the axis
-    index_t kept_inner = 0;
     std::vector<std::uint8_t> keep;  // per inner coordinate; empty = all
   };
 
@@ -165,10 +167,6 @@ class InferenceEngine {
   void spectral_layer(index_t l, const float* h_in, float* h_out,
                       bool last_layer);
   void project(const float* h, float* y);
-  void rfft_rows(const float* in, cpxf* out);
-  void irfft_rows(const cpxf* in, float* out);
-  void c2c_stage(const cpxf* src, cpxf* dst, const C2cStage& st,
-                 bool forward_dir);
   void contract(index_t l, const cpxf* xs, cpxf* ys);
 
   fno::Fno* model_;
@@ -214,26 +212,16 @@ class InferenceEngine {
   std::size_t off_h0_ = 0, off_h1_ = 0;
   std::size_t off_win_ = 0, off_pred0_ = 0, off_pred1_ = 0;
   std::size_t off_xspec_ = 0, off_yspec_ = 0, off_work_ = 0;
-  std::size_t off_twf_ = 0, off_twi_ = 0;  // rfft/irfft twiddle tables
+  std::size_t off_fft_ = 0;  // slots_ × fft_stride_ line-loop scratch
   std::vector<std::size_t> off_tile_, off_xg_;  // per slot
-  // Per-slot lane-interleaved scratch for batched line FFTs, sized for
-  // fft::kMaxLanes so the runtime lane count (ISA- and type-dependent)
-  // always fits without reallocation.
-  std::vector<std::size_t> off_zl_, off_ul_, off_lanes_;  // per slot
   index_t tile_rows_ = 0;   // max channel count staged in a tile
-  index_t line_len_ = 0;    // max c2c extent
+  index_t fft_stride_ = 0;  // line-loop scratch elements per slot
 
   // Metrics (registry references cached so the hot path never locks).
   obs::Counter& forward_calls_;
   obs::Counter& replans_;
   obs::Counter& steady_allocs_;
   obs::Gauge& arena_gauge_;
-  obs::Counter& fft_lines_total_;
-  obs::Counter& fft_lines_skipped_;
-  obs::Counter& fft_r2c_lines_;
-  obs::Counter& fft_c2r_lines_;
-  obs::Counter& fft_batched_lines_;
-  obs::Counter& fft_batch_tail_lines_;
 };
 
 }  // namespace turb::infer

@@ -136,17 +136,25 @@ void set_global_threads(std::size_t num_threads);
 void parallel_for(index_t begin, index_t end,
                   const std::function<void(index_t)>& body);
 
-/// Chunked convenience wrapper over the current pool. The body is passed
-/// by address through the pool's raw (fn, ctx) overload, so the dispatch
-/// never wraps the capture in a std::function and never allocates.
+/// Chunked dispatch of body(chunk_begin, chunk_end) on `pool`. The body is
+/// passed by address through the pool's raw (fn, ctx) overload, so the
+/// dispatch never wraps the capture in a std::function and never allocates.
 template <typename Body>
-void parallel_for_chunked(index_t begin, index_t end, const Body& body) {
-  ThreadPool::current().parallel_for_chunked(
+void parallel_for_chunked(ThreadPool& pool, index_t begin, index_t end,
+                          const Body& body) {
+  pool.parallel_for_chunked(
       begin, end,
       [](void* ctx, index_t b, index_t e) {
         (*static_cast<const Body*>(ctx))(b, e);
       },
       const_cast<void*>(static_cast<const void*>(&body)));
+}
+
+/// Chunked convenience wrapper over the current pool (allocation-free, as
+/// above).
+template <typename Body>
+void parallel_for_chunked(index_t begin, index_t end, const Body& body) {
+  parallel_for_chunked(ThreadPool::current(), begin, end, body);
 }
 
 /// Deterministic-reduction work partition: split [begin, end) into exactly

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <numbers>
 #include <string>
 #include <utility>
 #include <vector>
@@ -828,6 +829,54 @@ TEST(RolloutGuardTest, ResetRestoresConfiguredBandsAfterCalibration) {
   EXPECT_EQ(guard.config().energy_max, cfg.energy_max);
   EXPECT_EQ(guard.config().enstrophy_max, cfg.enstrophy_max);
   EXPECT_EQ(guard.check(snap, metrics, nullptr), core::GuardTrip::none);
+  EXPECT_EQ(guard.stats().trips, 0);
+}
+
+/// Two shear modes of equal amplitude, u1 = cos(2π·3y) + cos(2π·12y) on the
+/// kGrid² grid, u2 = 0 (divergence-free). k_max = 16, so the guard's tail
+/// starts at shell 2·16/3 = 10: the kʸ = 12 mode is all tail and the kʸ = 3
+/// mode all body, each carrying half the kinetic energy.
+core::FieldSnapshot half_tail_snapshot() {
+  core::FieldSnapshot snap;
+  snap.u1 = TensorD({kGrid, kGrid});
+  snap.u2 = TensorD({kGrid, kGrid});
+  const double two_pi = 2.0 * std::numbers::pi;
+  for (index_t iy = 0; iy < kGrid; ++iy) {
+    const double y = static_cast<double>(iy) / static_cast<double>(kGrid);
+    for (index_t ix = 0; ix < kGrid; ++ix) {
+      snap.u1(iy, ix) = std::cos(two_pi * 3.0 * y) + std::cos(two_pi * 12.0 * y);
+    }
+  }
+  return snap;
+}
+
+TEST(RolloutGuardTest, SpectralTailTripsAboveLimitAndReportsFraction) {
+  const core::FieldSnapshot snap = half_tail_snapshot();
+  const core::SnapshotMetrics metrics = core::compute_metrics(snap);
+  core::GuardConfig cfg;
+  cfg.enabled = true;
+  cfg.tail_fraction_max = 0.4;
+  core::RolloutGuard guard(cfg);
+  double fraction = 0.0;
+  EXPECT_EQ(guard.check(snap, metrics, &fraction),
+            core::GuardTrip::spectral_tail);
+  EXPECT_NEAR(fraction, 0.5, 1e-12);
+  EXPECT_EQ(guard.stats().trips, 1);
+  EXPECT_EQ(guard.stats().last_trip, core::GuardTrip::spectral_tail);
+  EXPECT_EQ(guard.stats().last_value, fraction);
+}
+
+TEST(RolloutGuardTest, SpectralTailBelowLimitDoesNotTrip) {
+  const core::FieldSnapshot snap = half_tail_snapshot();
+  const core::SnapshotMetrics metrics = core::compute_metrics(snap);
+  core::GuardConfig cfg;
+  cfg.enabled = true;
+  cfg.tail_fraction_max = 0.6;
+  core::RolloutGuard guard(cfg);
+  double fraction = -1.0;
+  EXPECT_EQ(guard.check(snap, metrics, &fraction), core::GuardTrip::none);
+  EXPECT_EQ(fraction, -1.0);  // untouched when nothing trips
+  EXPECT_EQ(guard.stats().checked, 1);
   EXPECT_EQ(guard.stats().trips, 0);
 }
 
